@@ -10,18 +10,16 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from .chartab import validate_semidirect
 from .errors import (
     ConstructionContractViolated,
     GroupSyntaxError,
-    NotASemidirectDecomposition,
     ParameterOutOfRange,
     UnknownConstructor,
 )
 from .group import (
-    GroupTable,
     center,
     closure_members,
     closure_of_permutations,
@@ -30,7 +28,9 @@ from .group import (
     is_prime,
     make_subgroup,
     order_cap,
+    prime_power,
 )
+from .modlinalg import poly_divmod, poly_mul
 
 
 # --- cycle notation -------------------------------------------------------
@@ -326,9 +326,11 @@ class _Parser:
             p, o = self._num()
             self.take("sym", ",")
             k, o2 = self._num()
+            if p > order_cap():
+                raise ParameterOutOfRange(f"E({p},{k}) out of range", o)
             if not is_prime(p):
                 raise ParameterOutOfRange(f"E needs a prime, got {p}", o)
-            if k < 1 or p ** k > order_cap():
+            if k < 1 or k > order_cap() or p ** k > order_cap():
                 raise ParameterOutOfRange(f"E({p},{k}) out of range", o2)
             return ElemAbelian(p, k)
         if name == "D":
@@ -352,9 +354,12 @@ class _Parser:
             p, o = self._num()
             self.take("sym", ",")
             n, o2 = self._num()
+            if p > order_cap():
+                raise ParameterOutOfRange(f"M({p},{n}) out of range", o)
             if not is_prime(p):
                 raise ParameterOutOfRange(f"M needs a prime, got {p}", o)
-            if n < 3 or (p, n) == (2, 3) or p ** n > order_cap():
+            if n < 3 or (p, n) == (2, 3) or n > order_cap() or \
+                    p ** n > order_cap():
                 raise ParameterOutOfRange(f"M({p},{n}) out of range", o2)
             return ModularMaxCyclic(p, n)
         if name == "X":
@@ -364,17 +369,17 @@ class _Parser:
             if sign_tok[1] not in "+-":
                 raise GroupSyntaxError("expected '+' or '-'", sign_tok[2],
                                        {"+", "-"})
-            if not is_prime(p) or p ** 3 > order_cap():
+            if p ** 3 > order_cap() or not is_prime(p):
                 raise ParameterOutOfRange(f"X({p},..) out of range", o)
             return Extraspecial(p, sign_tok[1])
         if name == "S":
             n, o = self._num()
-            if n < 1 or factorial(n) > order_cap():
+            if n < 1 or n > order_cap() or factorial(n) > order_cap():
                 raise ParameterOutOfRange(f"S({n}) out of range", o)
             return Sym(n)
         if name == "A":
             n, o = self._num()
-            if n < 3 or factorial(n) // 2 > order_cap():
+            if n < 3 or n > order_cap() or factorial(n) // 2 > order_cap():
                 raise ParameterOutOfRange(f"A({n}) out of range", o)
             return Alt(n)
         if name == "PSL":
@@ -383,8 +388,8 @@ class _Parser:
             qq, o2 = self._num()
             if two != 2:
                 raise ParameterOutOfRange("only PSL(2,q) is supported", o)
-            if not _prime_power(qq) or qq < 2 or \
-                    qq * (qq * qq - 1) // gcd(2, qq - 1) > order_cap():
+            if qq < 2 or qq * (qq * qq - 1) // gcd(2, qq - 1) > order_cap() \
+                    or prime_power(qq) is None:
                 raise ParameterOutOfRange(f"PSL(2,{qq}) out of range", o2)
             return PSL2(qq)
         if name == "SL":
@@ -393,7 +398,7 @@ class _Parser:
             p, o2 = self._num()
             if two != 2:
                 raise ParameterOutOfRange("only SL(2,p) is supported", o)
-            if not is_prime(p) or p * (p * p - 1) > order_cap():
+            if p * (p * p - 1) > order_cap() or not is_prime(p):
                 raise ParameterOutOfRange(f"SL(2,{p}) out of range", o2)
             return SL2(p)
         raise UnknownConstructor(f"unknown constructor {name!r}", off, _CTORS)
@@ -472,23 +477,6 @@ def _split_commas(raw, offset):
     return [(p, o) for p, o in pieces if p.strip()]
 
 
-def _prime_power(n):
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return is_p_power_of(n, p)
-        p += 1
-    return True
-
-
-def is_p_power_of(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def parse_group_expr(text):
     """Parse a group expression into its AST."""
     return _Parser(text).parse()
@@ -519,68 +507,31 @@ def _involutions(table):
 
 
 class _GF:
-    """Tiny GF(p^k) with integer-encoded elements (base-p digit vectors)."""
+    """Tiny GF(p^k) with integer-encoded elements (base-p digit vectors).
+
+    The modulus is the first monic degree-k polynomial, in the order of its
+    encoded lower coefficients, with no monic factor of degree 1..k//2. It
+    fixes the element numbering of every realized PSL(2, p^k).
+    """
 
     def __init__(self, p, k):
         self.p = p
         self.k = k
         self.q = p ** k
-        if k == 1:
-            self.modpoly = None
-        else:
-            self.modpoly = self._find_irreducible()
+        monic = (self._digits(c) + [1] for c in range(self.q))
+        self.modpoly = next(f for f in monic if not self._has_small_factor(f))
 
-    def _find_irreducible(self):
-        p, k = self.p, self.k
-        for code in range(p ** k):
-            coeffs = self._digits(code) + [1]      # monic degree k
-            if not any(self._poly_eval(coeffs, x) == 0 for x in range(p)) \
-                    and self._really_irreducible(coeffs):
-                return coeffs
-        raise AssertionError("no irreducible polynomial found")
-
-    def _really_irreducible(self, coeffs):
-        # trial division by all monic polynomials of degree <= k//2
-        p, k = self.p, self.k
-        for deg in range(2, k // 2 + 1):
-            for code in range(p ** deg):
-                div = self._digits(code, deg) + [1]
-                if self._poly_mod(coeffs, div) == [0]:
-                    return False
-        return True
+    def _has_small_factor(self, f):
+        return any(poly_divmod(f, self._digits(c, deg) + [1], self.p)[1] == [0]
+                   for deg in range(1, self.k // 2 + 1)
+                   for c in range(self.p ** deg))
 
     def _digits(self, code, k=None):
         k = self.k if k is None else k
-        out = []
-        for _ in range(k):
-            out.append(code % self.p)
-            code //= self.p
-        return out
+        return [code // self.p ** i % self.p for i in range(k)]
 
     def _encode(self, digits):
-        out = 0
-        for d in reversed(digits):
-            out = out * self.p + d
-        return out
-
-    def _poly_eval(self, coeffs, x):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def _poly_mod(self, f, g):
-        f = list(f)
-        dg = len(g) - 1
-        from .modlinalg import inv_mod
-        inv_lead = inv_mod(g[-1], self.p)
-        for i in range(len(f) - dg - 1, -1, -1):
-            c = f[i + dg] * inv_lead % self.p
-            for j, b in enumerate(g):
-                f[i + j] = (f[i + j] - c * b) % self.p
-        while len(f) > 1 and f[-1] == 0:
-            f.pop()
-        return f
+        return sum(d * self.p ** i for i, d in enumerate(digits))
 
     def add(self, a, b):
         da, db = self._digits(a), self._digits(b)
@@ -590,16 +541,8 @@ class _GF:
         return self._encode([(-x) % self.p for x in self._digits(a)])
 
     def mul(self, a, b):
-        if self.k == 1:
-            return a * b % self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % self.p
-        rem = self._poly_mod(prod, self.modpoly)
-        rem += [0] * (self.k - len(rem))
-        return self._encode(rem)
+        f = poly_mul(self._digits(a), self._digits(b), self.p)
+        return self._encode(poly_divmod(f, self.modpoly, self.p)[1])
 
     def inv(self, a):
         for b in range(1, self.q):
@@ -609,14 +552,7 @@ class _GF:
 
 
 def _realize_psl2(q, cap):
-    pp = 2
-    while q % pp:
-        pp += 1
-    k = 0
-    qq = q
-    while qq > 1:
-        qq //= pp
-        k += 1
+    pp, k = prime_power(q)
     F = _GF(pp, k)
     inf = q                       # projective point at infinity
     def translation(c):
@@ -805,18 +741,11 @@ def realize_group(expr, cap=None):
             if out.order > cap:
                 raise ParameterOutOfRange(f"product order exceeds cap {cap}", 0)
         out = dataclasses.replace(out, label=label)
-        _contract(out.order == _prod(t.order for t in tables),
+        _contract(out.order == prod(t.order for t in tables),
                   "wrong product order", label)
         return out
 
     raise TypeError(f"not a GroupExpr: {expr!r}")
-
-
-def _prod(it):
-    out = 1
-    for v in it:
-        out *= v
-    return out
 
 
 def _realize_modular(p, n, label, cap):

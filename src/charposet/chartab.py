@@ -156,7 +156,6 @@ def irr_table(G, q=None):
         q = dixon_modulus(G)
     spaces = _eigenvector_splitting(G, cls, q)
     inv_sizes = np.array([inv_mod(s, q) for s in cls.sizes], dtype=np.int64)
-    inv_n = inv_mod(n, q)
     rows = []
     for B in spaces:
         v = B[:, 0] % q
@@ -181,7 +180,6 @@ def irr_table(G, q=None):
     table = CharTable(group=G, classes=cls, q=q, chars=chars)
     if not check_row_orthogonality(table):
         raise AssertionError("row orthogonality failed")
-    del inv_n
     return table
 
 

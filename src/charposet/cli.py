@@ -13,7 +13,6 @@ import json
 import sys
 
 from .catalog import catalog_roster, parse_group_expr, realize_group
-from .chartab import dixon_modulus
 from .errors import CharposetError, GroupExprError
 from .gamma import (
     CLAIM_IDS,
@@ -24,7 +23,7 @@ from .gamma import (
     scan_nontrivial_I,
     verify,
 )
-from .group import is_prime
+from .group import is_p_power, is_prime, order_cap
 
 _THEOREM_FLAGS = {
     "A": "ThmA", "B": "ThmB", "C": "ThmC",
@@ -88,9 +87,13 @@ def _realize(text):
     return realize_group(parse_group_expr(text))
 
 
-def _check_prime(p):
-    if not is_prime(p):
-        raise GroupExprError(f"--p must be prime, got {p}", 0)
+def _check_usage(args):
+    """Reject environment and argument values that no command can use."""
+    order_cap()                  # raises ValueError on a bad CHARPOSET_ORDER_CAP
+    if "p" in args and not is_prime(args.p):
+        raise ValueError(f"--p must be prime, got {args.p}")
+    if "e" in args and args.e < 0:
+        raise ValueError(f"--e must be >= 0, got {args.e}")
 
 
 def _table(rows, header):
@@ -128,7 +131,6 @@ def _cmd_irr(args, out):
 
 
 def _cmd_psubgroups(args, out):
-    _check_prime(args.p)
     G = _realize(args.expr)
     spos = s_poset(G, args.p, args.e)
     lat = spos.lattice
@@ -143,7 +145,6 @@ def _cmd_psubgroups(args, out):
 
 
 def _cmd_components(args, out):
-    _check_prime(args.p)
     G = _realize(args.expr)
     if args.poset == "s":
         spos = s_poset(G, args.p, args.e)
@@ -163,7 +164,6 @@ def _cmd_components(args, out):
 
 
 def _cmd_verify(args, out):
-    _check_prime(args.p)
     G = _realize(args.expr)
     report = verify(G, args.p, args.e, _THEOREM_FLAGS[args.theorem])
     if args.json:
@@ -179,12 +179,11 @@ def _cmd_verify(args, out):
 
 
 def _cmd_scan_q1(args, out):
-    _check_prime(args.p)
     roster = []
     for text in catalog_roster(max_order=args.max_order):
         G = _realize(text)
         if G.order % args.p == 0 and G.order >= args.p ** args.k and \
-                _is_p_group(G, args.p):
+                is_p_power(G.order, args.p):
             roster.append(G)
     results, errors = scan_nontrivial_I(roster, args.p, args.k)
     print(f"p: {args.p}  k: {args.k}  groups scanned: {len(roster)}",
@@ -196,13 +195,6 @@ def _cmd_scan_q1(args, out):
     for label, msg in errors:
         print(f"error: {label}: {msg}", file=sys.stderr)
     return 3 if errors else 0
-
-
-def _is_p_group(G, p):
-    n = G.order
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _cmd_catalog_run(args, out):
@@ -253,6 +245,11 @@ def run(argv, out=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    try:
+        _check_usage(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args, out)
     except GroupExprError as exc:

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import json
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chartab import CharContext, induce, validate_semidirect
+from .chartab import (
+    CharContext,
+    decompose_restriction,
+    induce,
+    validate_semidirect,
+)
 from .errors import (
     HypothesisNotSatisfied,
-    NoSuchSubgroups,
     NotAPGroup,
     NotASylowNode,
     PreconditionViolated,
@@ -36,24 +39,15 @@ from .group import (
     make_subgroup,
     normalizer,
     omega1,
-    p_part,
     whole_group_subgroup,
 )
 from .modlinalg import inv_mod
 from .poset import Partition, action_on_components, components
 
-_S_CACHE = weakref.WeakKeyDictionary()
-_GAMMA_CACHE = weakref.WeakKeyDictionary()
-_CTX_CACHE = weakref.WeakKeyDictionary()
-
 
 def char_context(G):
     """The shared-modulus character context of G (cached per table)."""
-    ctx = _CTX_CACHE.get(G)
-    if ctx is None:
-        ctx = CharContext(G)
-        _CTX_CACHE[G] = ctx
-    return ctx
+    return G.memo("char_context", lambda: CharContext(G))
 
 
 # --- S_{p,e}(G) -----------------------------------------------------------
@@ -77,11 +71,7 @@ def build_s_poset(G, p, e):
 
 def s_poset(G, p, e):
     """Cached build_s_poset."""
-    per = _S_CACHE.setdefault(G, {})
-    key = (p, e)
-    if key not in per:
-        per[key] = build_s_poset(G, p, e)
-    return per[key]
+    return G.memo(("s_poset", p, e), lambda: build_s_poset(G, p, e))
 
 
 def s_node_images(spos):
@@ -178,11 +168,7 @@ def build_gamma_poset(G, p, e, ctx=None, full_comparability=False):
 
 def gamma_poset(G, p, e):
     """Cached build_gamma_poset (cover edges)."""
-    per = _GAMMA_CACHE.setdefault(G, {})
-    key = (p, e)
-    if key not in per:
-        per[key] = build_gamma_poset(G, p, e)
-    return per[key]
+    return G.memo(("gamma_poset", p, e), lambda: build_gamma_poset(G, p, e))
 
 
 def x_of_sylow(gamma, sylow_node):
@@ -509,18 +495,13 @@ def _claim_l4_3(G, p, e):
             ok = False
             continue
         chi = tG.chars[hits[0][0]]
-        down = np.array([m for m in _decompose(ctx, whole, chi, N)])
+        down = np.array(decompose_restriction(ctx, whole, chi, N))
         target = np.zeros(len(tN.chars), dtype=np.int64)
         target[tN.chars.index(theta)] = p
         if not (down == target).all():
             ok = False
     observed = {"checked": checked, "all_theta_pass": ok}
     return observed, {"checked": N.order - 1, "all_theta_pass": True}
-
-
-def _decompose(ctx, K, psi, H):
-    from .chartab import decompose_restriction
-    return decompose_restriction(ctx, K, psi, H)
 
 
 def _claim_l4_4(G, p, e):
@@ -595,7 +576,7 @@ def scan_nontrivial_I(roster, p, k):
     aborting the scan. For k = 2 each reported value is cross-checked
     against |pi_0 Gamma(p, 1)|.
     """
-    from .catalog import GroupExpr, parse_group_expr, realize_group
+    from .catalog import parse_group_expr, realize_group
     results = []
     errors = []
     for entry in roster:

@@ -1,14 +1,15 @@
 """Finite groups as explicit multiplication tables, with subgroup primitives.
 
-Element 0 is always the identity. All types are immutable after construction;
-every operation is a pure function of its inputs.
+Element 0 is always the identity. All types are immutable after construction,
+except for each table's cache of derived data (`GroupTable.memo`); every
+operation is a pure function of its inputs.
 """
 from __future__ import annotations
 
 import os
-import weakref
 from dataclasses import dataclass, field
-from math import lcm
+from itertools import count
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -31,7 +32,14 @@ def order_cap():
     raw = os.environ.get("CHARPOSET_ORDER_CAP")
     if raw is None:
         return DEFAULT_ORDER_CAP
-    return int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"CHARPOSET_ORDER_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 def is_prime(n):
@@ -54,6 +62,15 @@ def is_p_power(n, p):
     return n == 1
 
 
+def prime_power(n):
+    """(p, k) with n = p^k and k >= 1, or None if n is not a prime power."""
+    if n < 2:
+        return None
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    k = next(k for k in count(1) if p ** k >= n)
+    return (p, k) if p ** k == n else None
+
+
 def p_part(n, p):
     out = 1
     while n % p == 0:
@@ -66,7 +83,9 @@ def p_part(n, p):
 class GroupTable:
     """A finite group given by its full multiplication table.
 
-    mul[x][y] is the index of x*y; element 0 is the identity.
+    mul[x][y] is the index of x*y; element 0 is the identity. Data derived
+    from the group (posets, character tables, the subgroup scan) is cached
+    on the table through `memo`, so it lives exactly as long as the table.
     """
 
     order: int
@@ -77,6 +96,14 @@ class GroupTable:
     words: tuple = None
     direct_factors: tuple = None
     semidirect_parts: tuple = None
+    # not an init field, so dataclasses.replace starts the copy with no cache
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def memo(self, key, build):
+        """The value cached under key, computed by build() on first use."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def conj(self, x, g):
         """g^{-1} x g."""
@@ -245,19 +272,6 @@ class Subgroup:
     @property
     def order(self):
         return len(self.members)
-
-    @property
-    def embed(self):
-        return self.members
-
-    def to_local(self, parent_elems):
-        """Map an array of parent element indices to local indices."""
-        lut = np.full(self.parent.order, -1, dtype=np.int32)
-        lut[np.array(self.members)] = np.arange(self.order, dtype=np.int32)
-        out = lut[np.asarray(parent_elems)]
-        if (out < 0).any():
-            raise NotASubgroup("element outside subgroup")
-        return out
 
     def contains(self, other):
         return other.member_set <= self.member_set
@@ -454,7 +468,6 @@ def enumerate_p_subgroups(G, p, e=0):
         for i, H in enumerate(nodes):
             if H.order == target and H.member_set <= big:
                 covers.append((i, j))
-    max_order = max((s.order for s in nodes), default=0)
     if levels:
         full = p_part(G.order, p)
         if max(p ** k for k in levels) != full:
@@ -462,7 +475,6 @@ def enumerate_p_subgroups(G, p, e=0):
         sylow_ids = tuple(i for i, s in enumerate(nodes) if s.order == full)
     else:
         sylow_ids = ()
-    del max_order
     return PSubgroupLattice(group=G, p=p, e=e, nodes=nodes,
                             covers=tuple(covers), sylow_ids=sylow_ids,
                             node_index=node_index)
@@ -516,17 +528,16 @@ def common_intersection_of_order(G, p, k):
     return make_subgroup(G, sorted(common), check=False)
 
 
-_ALL_SUBGROUPS_CACHE = weakref.WeakKeyDictionary()
-
-
 def all_subgroups(G):
+    """Cached build_all_subgroups."""
+    return G.memo("all_subgroups", lambda: build_all_subgroups(G))
+
+
+def build_all_subgroups(G):
     """Every subgroup of G, by breadth-first generator adjunction.
 
     Bounded scan per the non-goals: intended for the catalog's small orders.
     """
-    cached = _ALL_SUBGROUPS_CACHE.get(G)
-    if cached is not None:
-        return cached
     seen = {(0,)}
     queue = [(0,)]
     while queue:
@@ -540,9 +551,7 @@ def all_subgroups(G):
                 seen.add(new)
                 queue.append(new)
     ordered = sorted(seen, key=lambda m: (len(m), m))
-    subs = tuple(make_subgroup(G, m, check=False) for m in ordered)
-    _ALL_SUBGROUPS_CACHE[G] = subs
-    return subs
+    return tuple(make_subgroup(G, m, check=False) for m in ordered)
 
 
 def direct_table_product(A, B, label=None):

@@ -14,6 +14,7 @@ from charposet.catalog import (
     ModularMaxCyclic,
     Product,
     SemiDihedral,
+    _GF,
     catalog_roster,
     cycles_string,
     format_expr,
@@ -91,6 +92,13 @@ def test_parse_errors_carry_offsets():
 @pytest.mark.parametrize("text", [
     "C(0)", "E(4,2)", "Q(6)", "Q(12)", "SD(8)", "M(2,3)", "M(4,3)",
     "X(6,+)", "A(2)", "PSL(3,2)", "SL(2,4)", "C(2048)", "Q(2048)",
+    # 2^61 - 1 is prime: the order cap must reject it before trial division
+    "PSL(2,2305843009213693951)", "E(2305843009213693951,1)",
+    "X(2305843009213693951,+)", "M(2305843009213693951,3)",
+    "SL(2,2305843009213693951)",
+    # huge exponents or degrees must not be raised to a power or factorial
+    "E(2,2305843009213693951)", "M(2,2305843009213693951)",
+    "S(2305843009213693951)", "A(2305843009213693951)",
 ])
 def test_parameter_domain_errors(text):
     with pytest.raises(ParameterOutOfRange):
@@ -169,6 +177,23 @@ def test_linear_groups():
     assert _involutions(realize("SL(2,3)")) == 1
     g9 = realize("PSL(2,9)")
     assert g9.order == 360
+    g8 = realize("PSL(2,8)")
+    assert g8.order == 504
+    assert _involutions(g8) == 63
+    assert g8.exponent() == 126
+
+
+@pytest.mark.parametrize("p, k, modpoly", [
+    (2, 2, [1, 1, 1]), (2, 3, [1, 1, 0, 1]), (3, 2, [1, 0, 1]),
+    (2, 4, [1, 1, 0, 0, 1]), (3, 3, [1, 2, 0, 1]), (5, 2, [2, 0, 1]),
+])
+def test_gf_modulus_and_inverses(p, k, modpoly):
+    # the modulus fixes the element numbering of PSL(2, p^k): pinned
+    F = _GF(p, k)
+    assert F.modpoly == modpoly
+    for a in range(1, F.q):
+        assert F.mul(a, F.inv(a)) == 1
+        assert F.mul(a, 1) == a and F.add(a, F.neg(a)) == 0
 
 
 def test_perm_and_semidirect_constructors():

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from charposet.cli import run
 
 
@@ -69,6 +71,26 @@ def test_usage_error_exit_two():
 def test_nonprime_p_exit_two():
     code, _ = _run(["components", "--p", "4", "C(4)"])
     assert code == 2
+
+
+def test_negative_e_exit_two(capsys):
+    code, _ = _run(["components", "--p", "2", "--e", "-1", "C(4)"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+def test_bad_order_cap_env_exit_two(monkeypatch, capsys, raw):
+    monkeypatch.setenv("CHARPOSET_ORDER_CAP", raw)
+    for argv in (["components", "--p", "2", "C(4)"],
+                 ["catalog-run", "--max-order", "4"]):
+        code, _ = _run(argv)
+        assert code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "CHARPOSET_ORDER_CAP" in err and "Traceback" not in err
 
 
 def test_cap_exceeded_exit_three():

@@ -1,9 +1,11 @@
 """S and Gamma posets, strong embedding, and claim verification."""
+import gc
 import json
+import weakref
 
 import pytest
 
-from charposet.catalog import SEMIDIRECT_C4_C4, catalog_roster
+from charposet.catalog import SEMIDIRECT_C4_C4, catalog_roster, realize
 from charposet.errors import (
     HypothesisNotSatisfied,
     NotASylowNode,
@@ -217,3 +219,13 @@ def test_scan_collects_errors_per_entry():
     results, errors = scan_nontrivial_I(["C(4)", "S(3)", "C("], 2, 2)
     assert dict(results) == {"C(4)": 4}
     assert len(errors) == 2
+
+
+def test_derived_data_is_freed_with_its_table():
+    G = realize("S(4)")
+    for claim in ("ThmA", "ThmB", "Cor2.2"):
+        assert verify(G, 2, 0, claim).status == "pass"
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None

@@ -1,9 +1,11 @@
 """Group tables, subgroups, and the p-subgroup lattice."""
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
+from charposet.catalog import realize
 from charposet.errors import (
     ClosureCapExceeded,
     InvalidPermutation,
@@ -25,6 +27,7 @@ from charposet.group import (
     normalizer,
     omega1,
     order_cap,
+    prime_power,
     subgroup_closure,
     validate_group_table,
     whole_group_subgroup,
@@ -64,6 +67,35 @@ def test_order_cap_env_override(monkeypatch):
     assert order_cap() == 64
     monkeypatch.delenv("CHARPOSET_ORDER_CAP")
     assert order_cap() == 1024
+    for raw in ("abc", "0", ""):
+        monkeypatch.setenv("CHARPOSET_ORDER_CAP", raw)
+        with pytest.raises(ValueError, match="positive integer"):
+            order_cap()
+
+
+def test_prime_power():
+    assert prime_power(8) == (2, 3)
+    assert prime_power(81) == (3, 4)
+    assert prime_power(7) == (7, 1)
+    assert prime_power(2) == (2, 1)
+    for n in (0, 1, 6, 12, 100):
+        assert prime_power(n) is None
+
+
+def test_memo_is_per_table_and_not_copied_by_replace():
+    G = realize("C(6)")
+    builds = []
+
+    def build():
+        builds.append(1)
+        return len(builds)
+
+    assert G.memo("k", build) == 1
+    assert G.memo("k", build) == 1
+    H = dataclasses.replace(G, label="renamed")
+    assert H.memo("k", build) == 2
+    assert all_subgroups(G)[0].parent is G
+    assert all_subgroups(H)[0].parent is H
 
 
 def test_subgroup_closure_and_membership():
