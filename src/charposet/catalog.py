@@ -249,7 +249,13 @@ def _tokenize(text):
                 break
             raise GroupSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if m.group("num"):
-            out.append(("num", int(m.group("num")), m.start("num")))
+            try:
+                value = int(m.group("num"))
+            except ValueError:      # over the interpreter's digit limit
+                raise ParameterOutOfRange(
+                    f"number literal of {len(m.group('num'))} digits is "
+                    "out of range", m.start("num")) from None
+            out.append(("num", value, m.start("num")))
         elif m.group("name"):
             out.append(("name", m.group("name"), m.start("name")))
         else:

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .catalog import catalog_roster, parse_group_expr, realize_group
-from .errors import CharposetError, GroupExprError
+from .errors import CharposetError, GroupExprError, PreconditionViolated
 from .gamma import (
     CLAIM_IDS,
     CSV_COLUMNS,
@@ -90,6 +90,7 @@ def _realize(text):
 def _check_usage(args):
     """Reject environment and argument values that no command can use."""
     order_cap()                  # raises ValueError on a bad CHARPOSET_ORDER_CAP
+    # is_prime raises PreconditionViolated past its exact range
     if "p" in args and not is_prime(args.p):
         raise ValueError(f"--p must be prime, got {args.p}")
     if "e" in args and args.e < 0:
@@ -247,7 +248,7 @@ def run(argv, out=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         _check_usage(args)
-    except ValueError as exc:
+    except (ValueError, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -29,9 +29,9 @@ from .errors import (
 )
 from .group import (
     GroupTable,
-    all_subgroups,
-    common_intersection_of_order,
     center,
+    closure_members,
+    common_intersection_of_order,
     enumerate_p_subgroups,
     frattini_of_p_group,
     is_p_power,
@@ -257,14 +257,50 @@ def strongly_embedded_check(G, p, e, M, condition):
     raise PreconditionViolated(f"condition must be 1..5, got {condition}")
 
 
+def _double_coset_reps(G, M):
+    """One element g outside M for each double coset MgM != M."""
+    marr = np.array(M.members, dtype=np.int32)
+    covered = M.mask.copy()
+    reps = []
+    for g in range(G.order):
+        if not covered[g]:
+            reps.append(g)
+            covered[G.mul[G.mul[marr, g][:, None], marr[None, :]]] = True
+    return reps
+
+
 def has_strongly_embedded_subgroup(G, p, e):
-    """Scan all proper subgroups for condition 5."""
-    pe1 = p ** (e + 1)
-    for M in all_subgroups(G):
-        if M.order == G.order or M.order % pe1:
+    """Whether some proper subgroup of G satisfies condition 5.
+
+    Only the overgroups of N_G(P0), for one Sylow p-subgroup P0, are tested.
+    Lemma: if M satisfies condition 5 and P is a Sylow p-subgroup of M, then
+    P is Sylow in G and N_G(P) <= M. Proof: an x in N_G(P) outside M would
+    put P inside both M and M^x, and p^(e+1) divides |P|. If P were not
+    Sylow in G, N_G(P) would hold a p-element x outside P, and x is outside
+    M because <P, x> is a p-group larger than P. Condition 5 is invariant
+    under conjugation and P = P0^g for some g, so M^(g^-1) contains N_G(P0).
+
+    The overgroups are built upward from N_G(P0): <M, g> depends only on
+    the double coset MgM, so M is extended by one element of each.
+    """
+    if G.order % p ** (e + 1):
+        return False
+    lat = s_poset(G, p, e).lattice
+    N = normalizer(G, lat.nodes[lat.sylow_ids[0]])
+    seen = {N.members}
+    queue = [N.members]
+    while queue:
+        mem = queue.pop()
+        if len(mem) == G.order:
             continue
+        M = make_subgroup(G, mem, check=False)
         if strongly_embedded_check(G, p, e, M, 5):
             return True
+        for g in _double_coset_reps(G, M):
+            over = closure_members(G, mem + (g,))
+            if over not in seen:
+                seen.add(over)
+                queue.append(over)
     return False
 
 

@@ -42,14 +42,37 @@ def order_cap():
     return cap
 
 
+# Miller-Rabin with the first 13 prime bases is exact for n below this bound
+# (Sorenson and Webster 2017, psi_13); the first 12 bases only reach 3.2e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n):
+    """Exact primality for n < 3.3e24 by deterministic Miller-Rabin."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_EXACT_BELOW:
+        raise PreconditionViolated(
+            f"primality is decided exactly only below {_MR_EXACT_BELOW}, "
+            f"got a {len(str(n))}-digit number")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -84,8 +107,8 @@ class GroupTable:
     """A finite group given by its full multiplication table.
 
     mul[x][y] is the index of x*y; element 0 is the identity. Data derived
-    from the group (posets, character tables, the subgroup scan) is cached
-    on the table through `memo`, so it lives exactly as long as the table.
+    from the group (posets, character tables) is cached on the table
+    through `memo`, so it lives exactly as long as the table.
     """
 
     order: int
@@ -312,20 +335,20 @@ def whole_group_subgroup(G):
 
 
 def closure_members(G, seed):
-    """Member tuple of the smallest subgroup of G containing seed."""
+    """Member tuple of the smallest subgroup of G containing seed.
+
+    Breadth-first over words in the seed: only the elements found in the
+    last round are multiplied by the seed. In a finite group the nonempty
+    words already contain every inverse, so this is the generated subgroup.
+    """
+    gens = np.unique(np.array([int(s) for s in seed], dtype=np.int64))
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
-    for s in seed:
-        mask[int(s)] = True
-    size = int(mask.sum())
-    while True:
-        cur = np.flatnonzero(mask)
-        mask[np.unique(G.mul[np.ix_(cur, cur)])] = True
-        new_size = int(mask.sum())
-        if new_size == size:
-            break
-        size = new_size
-    # a finite set closed under multiplication is closed under inversion too
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        found = np.unique(G.mul[np.ix_(frontier, gens)])
+        frontier = found[~mask[found]]
+        mask[frontier] = True
     return tuple(int(x) for x in np.flatnonzero(mask))
 
 
@@ -529,7 +552,7 @@ def common_intersection_of_order(G, p, k):
 
 
 def all_subgroups(G):
-    """Cached build_all_subgroups."""
+    """Cached build_all_subgroups; a test oracle, not used by the library."""
     return G.memo("all_subgroups", lambda: build_all_subgroups(G))
 
 

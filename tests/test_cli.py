@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -71,6 +72,30 @@ def test_usage_error_exit_two():
 def test_nonprime_p_exit_two():
     code, _ = _run(["components", "--p", "4", "C(4)"])
     assert code == 2
+
+
+def test_huge_prime_p_is_decided_fast():
+    start = time.perf_counter()
+    code, text = _run(["components", "--p", "2305843009213693951", "C(4)"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "components: 0" in text
+
+
+def test_p_beyond_exact_primality_exit_two(capsys):
+    code, _ = _run(["components", "--p", str(2 ** 89 - 1), "C(4)"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_overlong_number_literal_exit_two(capsys):
+    code, _ = _run(["components", "--p", "2", "C(" + "9" * 5000 + ")"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "(at offset 2)" in err
+    # only the interpreter's limit is refused, not a digit cap
+    code, text = _run(["components", "--p", "2", "perm[2000: (1 2)]"])
+    assert code == 0 and "components: 2" in text
 
 
 def test_negative_e_exit_two(capsys):

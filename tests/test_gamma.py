@@ -24,7 +24,7 @@ from charposet.gamma import (
     x_of_sylow,
 )
 from charposet.group import all_subgroups, common_intersection_of_order
-from util import cached_group
+from util import brute_force_has_strongly_embedded, cached_group
 
 
 def test_s_poset_examples():
@@ -95,6 +95,35 @@ def test_strongly_embedded_small_order_fails_divisibility():
 
 def test_s4_has_no_strongly_embedded_subgroup():
     assert not has_strongly_embedded_subgroup(cached_group("S(4)"), 2, 0)
+
+
+@pytest.mark.parametrize("text,p,e", [
+    (t, p, e)
+    for t in catalog_roster(max_order=60)
+    for p in (2, 3, 5)
+    for e in (0, 1)
+    if cached_group(t).order % p == 0
+] + [("PSL(2,7)", 2, 0), ("S(5)", 2, 0)])
+def test_overgroup_search_matches_all_subgroup_scan(text, p, e):
+    G = cached_group(text)
+    assert has_strongly_embedded_subgroup(G, p, e) == \
+        brute_force_has_strongly_embedded(G, p, e)
+
+
+def test_bender_family_psl_2_8():
+    # PSL(2, 2^n) has a strongly embedded Borel subgroup (Bender 1971), and
+    # its 2^n + 1 Sylow 2-subgroups are the components of S_{2,0}
+    G = cached_group("PSL(2,8)")
+    assert s_poset(G, 2, 0).partition.count == 2 ** 3 + 1
+    assert has_strongly_embedded_subgroup(G, 2, 0)
+    assert has_strongly_embedded_subgroup(G, 2, 1)
+    for claim in ("Cor2.2", "ThmB"):
+        assert verify(G, 2, 0, claim).status == "pass", claim
+
+
+@pytest.mark.parametrize("text", ["A(6)", "PSL(2,11)"])
+def test_no_strongly_embedded_subgroup_in_larger_simple_groups(text):
+    assert not has_strongly_embedded_subgroup(cached_group(text), 2, 0)
 
 
 def test_strongly_embedded_preconditions():

@@ -1,11 +1,14 @@
 """Group tables, subgroups, and the p-subgroup lattice."""
 import dataclasses
 import os
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charposet.catalog import realize
+from charposet.catalog import catalog_roster, realize
 from charposet.errors import (
     ClosureCapExceeded,
     InvalidPermutation,
@@ -17,12 +20,14 @@ from charposet.errors import (
 from charposet.group import (
     all_subgroups,
     center,
+    closure_members,
     common_intersection_of_order,
     conjugate_subgroup,
     direct_table_product,
     enumerate_p_subgroups,
     frattini_of_p_group,
     group_from_generators,
+    is_prime,
     make_subgroup,
     normalizer,
     omega1,
@@ -32,7 +37,11 @@ from charposet.group import (
     validate_group_table,
     whole_group_subgroup,
 )
-from util import brute_force_subgroups, cached_group
+from util import (
+    brute_force_subgroups,
+    cached_group,
+    fixed_point_closure_members,
+)
 
 
 def test_cyclic_table_basics():
@@ -241,3 +250,27 @@ def test_omega1_requires_p_group():
     G = cached_group("S(3)")
     with pytest.raises(NotAPGroup):
         omega1(whole_group_subgroup(G), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(catalog_roster(max_order=60)), st.data())
+def test_frontier_closure_matches_fixed_point(text, data):
+    G = cached_group(text)
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    assert closure_members(G, seed) == fixed_point_closure_members(G, seed)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(10 ** 5):
+        trial = n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+        assert is_prime(n) == trial, n
+
+
+def test_is_prime_large_values():
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    assert not is_prime((2 ** 31 - 1) * (10 ** 9 + 7))
+    # composites that pass Miller-Rabin to every prime base up to 31 and 37
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(PreconditionViolated):
+        is_prime(2 ** 89 - 1)

@@ -2,8 +2,11 @@
 import functools
 import itertools
 
+import numpy as np
+
 from charposet.catalog import realize
-from charposet.group import closure_members
+from charposet.gamma import strongly_embedded_check
+from charposet.group import all_subgroups, closure_members
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,3 +38,28 @@ def brute_force_subgroups(G, max_gens=4):
         for gens in itertools.combinations(range(n), r):
             out.add(closure_members(G, gens))
     return out
+
+
+def fixed_point_closure_members(G, seed):
+    """Closure by squaring the member set until it stops growing."""
+    mask = np.zeros(G.order, dtype=bool)
+    mask[0] = True
+    for s in seed:
+        mask[int(s)] = True
+    size = int(mask.sum())
+    while True:
+        cur = np.flatnonzero(mask)
+        mask[np.unique(G.mul[np.ix_(cur, cur)])] = True
+        new_size = int(mask.sum())
+        if new_size == size:
+            break
+        size = new_size
+    return tuple(int(x) for x in np.flatnonzero(mask))
+
+
+def brute_force_has_strongly_embedded(G, p, e):
+    """Condition 5 tested on every proper subgroup of G."""
+    pe1 = p ** (e + 1)
+    return any(M.order < G.order and M.order % pe1 == 0
+               and strongly_embedded_check(G, p, e, M, 5)
+               for M in all_subgroups(G))
