@@ -1,7 +1,8 @@
 """charposet: exact connectivity of character-augmented p-subgroup posets.
 
 Builds small finite groups as explicit multiplication tables, computes
-exact complex character tables via modular (Dixon-style) arithmetic,
+exact complex character tables via modular arithmetic (homomorphisms into
+GF(q)^* for abelian groups, Dixon's method otherwise),
 assembles the p-subgroup poset S(p, e) and its character augmentation
 Gamma(p, e), and verifies the connectivity theorems on a built-in catalog.
 """

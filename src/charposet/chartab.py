@@ -20,6 +20,8 @@ from .errors import (
     NotADirectProduct,
     NotASemidirectDecomposition,
     NotASubgroup,
+    PreconditionViolated,
+    TableConstructionFailed,
 )
 from .group import GroupTable, Subgroup, is_prime, whole_group_subgroup
 from .modlinalg import charpoly, inv_mod, nullspace, roots_in_field, solve_right
@@ -75,6 +77,18 @@ def dixon_modulus(G, search_limit=10**7):
             return q
         q += e
     raise ModulusSearchFailed(f"no modulus below bound for |G| = {n}")
+
+
+def _require_int64_headroom(order, q):
+    """Reject q if a sum of |G| products of two residues could wrap int64.
+
+    Row orthogonality and restriction multiplicities are such sums, and the
+    modular linear algebra multiplies two residues before reducing.
+    """
+    if order * (q - 1) ** 2 >= 2 ** 63:
+        raise PreconditionViolated(
+            f"modulus {q} is too large for exact int64 sums over a group "
+            f"of order {order}: need |G| (q-1)^2 < 2^63")
 
 
 def _class_matrix(G, cls, i):
@@ -140,20 +154,19 @@ def _eigenvector_splitting(G, cls, q):
                     nxt.append((B @ Nb) % q)
                     found += Nb.shape[1]
             if found != d:
-                raise AssertionError("class matrix failed to diagonalize")
+                raise TableConstructionFailed(
+                    "class matrix failed to diagonalize")
         spaces = nxt
     if not all(B.shape[1] == 1 for B in spaces):
-        raise AssertionError("common eigenspaces did not split to dimension 1")
+        raise TableConstructionFailed(
+            "common eigenspaces did not split to dimension 1")
     return spaces
 
 
-def irr_table(G, q=None):
-    """Full irreducible character table of G as residues mod q (Dixon)."""
-    cls = conjugacy_classes(G)
+def dixon_rows(G, cls, q):
+    """Irr(G) as (degree, values) rows, from the class matrices (Dixon)."""
     n = G.order
     m = cls.count
-    if q is None:
-        q = dixon_modulus(G)
     spaces = _eigenvector_splitting(G, cls, q)
     inv_sizes = np.array([inv_mod(s, q) for s in cls.sizes], dtype=np.int64)
     rows = []
@@ -164,22 +177,85 @@ def irr_table(G, q=None):
         d2 = n * inv_mod(s, q) % q                 # degree^2 as a residue
         d = isqrt(d2)
         if d * d != d2 or not 1 <= d <= isqrt(n):
-            raise AssertionError("degree recovery failed")
+            raise TableConstructionFailed("degree recovery failed")
         vals = tuple(int(d * v[k] % q * inv_sizes[k] % q) for k in range(m))
         rows.append((d, vals))
+    return rows
+
+
+def abelian_rows(G, q):
+    """Irr(G) = Hom(G, GF(q)^*) of an abelian G, as (1, values) rows.
+
+    Fixes omega of order exp(G) and walks a chain 1 = H_0 < H_1 < ... = G
+    with H_{i+1} = <H_i, g>, g the least element outside H_i. If k is the
+    least exponent with g^k in H_i, every chi of H_i extends in exactly k
+    ways, by chi(g) = omega^s with k s = log chi(g^k) (mod exp(G)). Since
+    the classes of G are its elements, the values are the rows of
+    omega^logs.
+    """
+    n, e = G.order, G.exponent()
+    if (q - 1) % e:
+        raise TableConstructionFailed(
+            f"q = {q} is not 1 mod exp(G) = {e}")
+    omega = pow(_primitive_root(q), (q - 1) // e, q)
+    logs = np.zeros((1, n), dtype=np.int64)    # logs[c, x] = log chi_c(x), x in H
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
+    H = np.zeros(1, dtype=np.int64)
+    while H.size < n:
+        g = int(np.argmin(inside))
+        powers = [0]
+        x = g
+        while not inside[x]:
+            powers.append(x)
+            x = int(G.mul[x, g])
+        k = len(powers)                        # x = g^k is in H
+        a = logs[:, x]
+        if (a % k).any():
+            raise TableConstructionFailed(
+                f"a character of a subgroup of order {H.size} does not "
+                f"extend to <H, {g}>")
+        s = (a // k)[:, None] + np.arange(k) * (e // k)     # (chars, k)
+        j = np.arange(k)[:, None]
+        # extension (c, t) takes g^j h to j s[c, t] + log chi_c(h)
+        vals = (j * s[:, :, None, None] + logs[:, None, None, H]) % e
+        coset_elems = G.mul[np.array(powers)[:, None], H[None, :]].ravel()
+        logs = np.zeros((s.size, n), dtype=np.int64)
+        logs[:, coset_elems] = vals.reshape(s.size, -1)
+        inside[coset_elems] = True
+        H = coset_elems
+    omega_pows = np.array([pow(omega, i, q) for i in range(e)], dtype=np.int64)
+    return [(1, tuple(row)) for row in omega_pows[logs].tolist()]
+
+
+def irr_table(G, q=None):
+    """Full irreducible character table of G as residues mod q.
+
+    An abelian G takes Hom(G, GF(q)^*) directly (`abelian_rows`); any other
+    group is split by Dixon's method (`dixon_rows`). Both paths give the
+    same rows and pass the same validation.
+    """
+    cls = conjugacy_classes(G)
+    n = G.order
+    m = cls.count
+    if q is None:
+        q = dixon_modulus(G)
+    _require_int64_headroom(n, q)
+    rows = abelian_rows(G, q) if G.is_abelian() else dixon_rows(G, cls, q)
     if len(rows) != m:
-        raise AssertionError("wrong number of characters")
+        raise TableConstructionFailed("wrong number of characters")
     if sum(d * d for d, _ in rows) != n:
-        raise AssertionError("degree squares do not sum to |G|")
+        raise TableConstructionFailed("degree squares do not sum to |G|")
     for d, _ in rows:
         if n % d != 0:
-            raise AssertionError("character degree does not divide |G|")
+            raise TableConstructionFailed(
+                "character degree does not divide |G|")
     rows.sort()
     chars = tuple(Character(degree=d, values=vals, id=i)
                   for i, (d, vals) in enumerate(rows))
     table = CharTable(group=G, classes=cls, q=q, chars=chars)
     if not check_row_orthogonality(table):
-        raise AssertionError("row orthogonality failed")
+        raise TableConstructionFailed("row orthogonality failed")
     return table
 
 
@@ -196,13 +272,13 @@ def inner_product(table, a, b):
 
 
 def check_row_orthogonality(table):
-    V = table.values_matrix() % table.q
-    for i, ci in enumerate(table.chars):
-        for k in range(i, table.count):
-            expected = 1 if i == k else 0
-            if inner_product(table, V[i], V[k]) != expected:
-                return False
-    return True
+    """[chi_i, chi_k] = delta_ik for all rows, as one product mod q."""
+    q = table.q
+    cls = table.classes
+    V = table.values_matrix() % q
+    W = V * (cls.sizes % q) % q
+    gram = W @ V[:, cls.inverse_class].T % q * inv_mod(table.group.order, q) % q
+    return np.array_equal(gram, np.eye(table.count, dtype=np.int64))
 
 
 def check_column_orthogonality(table):
@@ -238,6 +314,7 @@ class CharContext:
     def __init__(self, G, q=None):
         self.group = G
         self.q = q if q is not None else dixon_modulus(G)
+        _require_int64_headroom(G.order, self.q)
         self._tables = {}
 
     def table(self, S=None):
@@ -450,10 +527,10 @@ def _primitive_root(q):
         d += 1
     if m > 1:
         factors.append(m)
-    for r in range(2, q):
+    for r in range(1, q):      # 1 generates GF(2)^* only
         if all(pow(r, (q - 1) // f, q) != 1 for f in factors):
             return r
-    raise AssertionError("no primitive root found")
+    raise TableConstructionFailed(f"no primitive root mod {q}")
 
 
 def complex_character_values(table):

@@ -95,6 +95,8 @@ def _check_usage(args):
         raise ValueError(f"--p must be prime, got {args.p}")
     if "e" in args and args.e < 0:
         raise ValueError(f"--e must be >= 0, got {args.e}")
+    if "k" in args and args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
 
 
 def _table(rows, header):

@@ -29,6 +29,10 @@ class ModulusSearchFailed(CharposetError):
     """No suitable character-table modulus found below the search bound."""
 
 
+class TableConstructionFailed(CharposetError):
+    """A character table could not be built or failed its own validation."""
+
+
 class ContextMismatch(CharposetError):
     """Class functions or characters belong to different contexts."""
 

@@ -1,11 +1,14 @@
 """Exact linear algebra and polynomial arithmetic over GF(q), q prime.
 
-Matrices are numpy int64 arrays with entries reduced into [0, q). q stays
-small enough (< 2^31) that products fit int64 before reduction.
+Matrices are numpy int64 arrays with entries reduced into [0, q). Callers
+keep q small enough that products fit int64 before reduction: the character
+tables require |G| (q-1)^2 < 2^63 (checked in `chartab`).
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import TableConstructionFailed
 
 
 def inv_mod(a, q):
@@ -202,7 +205,8 @@ def _split_roots(f, q, out):
             return
         a += 1
         if a > q:
-            raise AssertionError("root splitting failed; roots not in GF(q)?")
+            raise TableConstructionFailed(
+                "root splitting failed; roots not in GF(q)?")
 
 
 def roots_in_field(f, q):
@@ -218,5 +222,5 @@ def roots_in_field(f, q):
     out = []
     _split_roots(sf, q, out)
     if len(out) != len(sf) - 1:
-        raise AssertionError("polynomial does not split over GF(q)")
+        raise TableConstructionFailed("polynomial does not split over GF(q)")
     return sorted(out)

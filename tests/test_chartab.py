@@ -1,9 +1,16 @@
 """Exact modular character tables: construction, orthogonality, functoriality."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from charposet.catalog import catalog_roster
 from charposet.chartab import (
     CharContext,
+    Character,
+    abelian_rows,
     check_column_orthogonality,
     check_row_orthogonality,
     complex_character_values,
@@ -11,6 +18,7 @@ from charposet.chartab import (
     decompose_restriction,
     direct_product_char,
     dixon_modulus,
+    dixon_rows,
     induce,
     inner_product,
     irr_table,
@@ -20,8 +28,19 @@ from charposet.chartab import (
     validate_direct_product,
     validate_semidirect,
 )
-from charposet.errors import NotASemidirectDecomposition
-from charposet.group import all_subgroups, make_subgroup, subgroup_closure
+from charposet.errors import (
+    NotASemidirectDecomposition,
+    PreconditionViolated,
+    TableConstructionFailed,
+)
+from charposet.gamma import s_poset
+from charposet.group import (
+    all_subgroups,
+    is_prime,
+    make_subgroup,
+    subgroup_closure,
+)
+from charposet.modlinalg import roots_in_field
 from util import cached_group
 
 
@@ -70,8 +89,8 @@ def test_conjugacy_class_order_is_deterministic():
 def test_orthogonality_and_degree_sum(text):
     ctx = _ctx(text)
     t = ctx.table()
-    check_row_orthogonality(t)
-    check_column_orthogonality(t)
+    assert check_row_orthogonality(t)
+    assert check_column_orthogonality(t)
     assert sum(c.degree ** 2 for c in t.chars) == t.group.order
     assert all(t.group.order % c.degree == 0 for c in t.chars)
     assert t.count == t.classes.count
@@ -215,3 +234,116 @@ def test_complex_lift_is_consistent():
     for row, chi in zip(vals, t.chars):
         assert abs(row[0] - chi.degree) < 1e-9
         assert all(abs(abs(v) - 1) < 1e-9 for v in row[1:] if chi.degree == 1)
+
+
+# --- the abelian path against Dixon's eigenvector splitting ---------------
+
+def _rows(table):
+    return [(c.degree, c.values) for c in table.chars]
+
+
+def _assert_fast_rows_equal_dixon(G, table):
+    """Irr of an abelian G: the table's rows equal the sorted Dixon rows."""
+    assert G.is_abelian()
+    dixon = sorted(dixon_rows(G, conjugacy_classes(G), table.q))
+    assert sorted(abelian_rows(G, table.q)) == dixon
+    assert _rows(table) == dixon
+
+
+def test_abelian_rows_equal_dixon_on_catalog_s_poset_nodes():
+    # Both builders depend only on the multiplication table and q, so each
+    # distinct (table, q) pair is compared once.
+    seen = set()
+    for text in catalog_roster():
+        G = cached_group(text)
+        ctx = CharContext(G)
+        for p in (2, 3):
+            if G.order % p:
+                continue
+            for H in s_poset(G, p, 0).lattice.nodes:
+                key = (H.local.mul.tobytes(), ctx.q)
+                if not H.local.is_abelian() or key in seen:
+                    continue
+                seen.add(key)
+                _assert_fast_rows_equal_dixon(H.local, ctx.table(H))
+    assert len(seen) >= 100
+
+
+@pytest.mark.parametrize("text", ["E(2,5)", "C(81)", "C(9) x C(9)", "E(3,4)"])
+def test_abelian_rows_equal_dixon_on_whole_groups(text):
+    G = cached_group(text)
+    _assert_fast_rows_equal_dixon(G, irr_table(G))
+
+
+@st.composite
+def _three_cyclic_factors(draw):
+    a = draw(st.integers(1, 64))
+    b = draw(st.integers(1, 64 // a))
+    c = draw(st.integers(1, 64 // (a * b)))
+    return a, b, c
+
+
+@settings(max_examples=30, deadline=None)
+@given(_three_cyclic_factors())
+def test_abelian_rows_equal_dixon_on_products_of_cyclics(factors):
+    G = cached_group(" x ".join(f"C({n})" for n in factors))
+    _assert_fast_rows_equal_dixon(G, irr_table(G))
+
+
+@pytest.mark.parametrize("text", ["C(4) x C(2)", "A(4)"])
+def test_table_construction_failure_is_typed(text):
+    # 11 - 1 is divisible by neither exp = 4 nor exp = 6
+    with pytest.raises(TableConstructionFailed):
+        irr_table(cached_group(text), q=11)
+
+
+def test_roots_outside_the_field_are_typed():
+    with pytest.raises(TableConstructionFailed):
+        roots_in_field([1, 0, 1], 7)          # x^2 + 1 has no root mod 7
+
+
+def test_modulus_without_int64_headroom_is_rejected():
+    G = cached_group("E(2,4)")
+    # the largest q with |G| (q-1)^2 < 2^63 is 759,250,125
+    q_ok = next(q for q in range(759_250_125, 0, -2) if is_prime(q))
+    q_big = next(q for q in range(759_250_127, 2 ** 31, 2) if is_prime(q))
+    assert CharContext(G, q=q_ok).q == q_ok
+    with pytest.raises(PreconditionViolated):
+        CharContext(G, q=q_big)
+    with pytest.raises(PreconditionViolated):
+        irr_table(G, q=q_big)
+
+
+# --- the row orthogonality check itself -----------------------------------
+
+def _with_values(table, rows):
+    chars = tuple(Character(degree=c.degree, values=tuple(v), id=c.id)
+                  for c, v in zip(table.chars, rows))
+    return dataclasses.replace(table, chars=chars)
+
+
+def test_row_orthogonality_holds_on_every_catalog_table():
+    for text in catalog_roster():
+        assert check_row_orthogonality(_ctx(text).table()), text
+
+
+def test_row_orthogonality_rejects_a_corrupted_value():
+    t = _ctx("Q(8)").table()
+    rows = [list(c.values) for c in t.chars]
+    rows[2][3] = (rows[2][3] + 1) % t.q
+    assert not check_row_orthogonality(_with_values(t, rows))
+
+
+def test_row_orthogonality_rejects_a_repeated_row():
+    # every [chi, chi] is still 1; only the off-diagonal entries fail
+    t = _ctx("Q(8)").table()
+    rows = [c.values for c in t.chars]
+    rows[2] = rows[1]
+    assert not check_row_orthogonality(_with_values(t, rows))
+
+
+def test_row_orthogonality_rejects_swapped_class_columns():
+    t = _ctx("S(3)").table()
+    assert [int(s) for s in t.classes.sizes] == [1, 3, 2]
+    rows = [(v[0], v[2], v[1]) for v in (c.values for c in t.chars)]
+    assert not check_row_orthogonality(_with_values(t, rows))

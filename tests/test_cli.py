@@ -106,6 +106,26 @@ def test_negative_e_exit_two(capsys):
     assert "Traceback" not in err
 
 
+def test_scan_q1_k_below_one_exit_two(capsys):
+    code, text = _run(["scan-q1", "--p", "2", "--k", "0", "--max-order", "8"])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err == "error: --k must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("expr, bad_q", [("C(4) x C(2)", 11), ("A(4)", 11)])
+def test_table_construction_failure_exit_three(monkeypatch, capsys, expr,
+                                               bad_q):
+    # 11 is not 1 mod exp = 4 or 6: the abelian path rejects it, and Dixon's
+    # class-matrix eigenvalues for A(4) (cube roots of unity) are not in GF(11)
+    monkeypatch.setattr("charposet.chartab.dixon_modulus", lambda G: bad_q)
+    code, text = _run(["irr", expr])
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: TableConstructionFailed:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
 def test_bad_order_cap_env_exit_two(monkeypatch, capsys, raw):
     monkeypatch.setenv("CHARPOSET_ORDER_CAP", raw)
