@@ -47,6 +47,22 @@ class ConjugacyData:
 
 
 def conjugacy_classes(G):
+    """Classes of G: each element alone when G is abelian, else by orbits."""
+    if not G.is_abelian():
+        return classes_by_conjugation(G)
+    n = G.order
+    class_of = np.arange(n, dtype=np.int32)
+    sizes = np.ones(n, dtype=np.int64)
+    inverse_class = G.inv.astype(np.int32)
+    class_of.setflags(write=False)
+    sizes.setflags(write=False)
+    inverse_class.setflags(write=False)
+    return ConjugacyData(group=G, class_of=class_of, reps=tuple(range(n)),
+                         sizes=sizes, inverse_class=inverse_class)
+
+
+def classes_by_conjugation(G):
+    """Classes as conjugation orbits, each from its least element."""
     n = G.order
     class_of = np.full(n, -1, dtype=np.int32)
     reps = []

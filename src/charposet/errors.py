@@ -33,6 +33,10 @@ class TableConstructionFailed(CharposetError):
     """A character table could not be built or failed its own validation."""
 
 
+class LatticeConstructionFailed(CharposetError):
+    """A p-subgroup lattice or Frattini computation failed its own check."""
+
+
 class ContextMismatch(CharposetError):
     """Class functions or characters belong to different contexts."""
 

@@ -74,18 +74,48 @@ def s_poset(G, p, e):
     return G.memo(("s_poset", p, e), lambda: build_s_poset(G, p, e))
 
 
+def _generating_set(G):
+    """Greedy generators: the least element outside the subgroup so far."""
+    gens = []
+    mask = np.zeros(G.order, dtype=bool)
+    mask[0] = True
+    while not mask.all():
+        gens.append(int(np.argmin(mask)))
+        mask[list(closure_members(G, gens))] = True
+    return gens
+
+
 def s_node_images(spos):
-    """node_image[g][i] = lattice node id of (node i)^g, for conjugation."""
+    """img[g, i] = lattice node id of (node i)^g = g^-1 (node i) g.
+
+    Only a generating set of G conjugates the nodes; every other row comes
+    from X^(x s) = (X^x)^s, breadth-first from the identity over the same
+    generators. Returns an int array of shape (|G|, nodes).
+    """
     G = spos.group
     lat = spos.lattice
-    out = []
-    for g in range(G.order):
-        img = tuple(
-            lat.node_of_members(G.conj_set(sub.members, g))
-            for sub in lat.nodes
-        )
-        out.append(img)
-    return out
+    gens = _generating_set(G)
+    gen_img = [
+        np.array([lat.node_of_members(G.conj_set(sub.members, g))
+                  for sub in lat.nodes], dtype=np.int64)
+        for g in gens
+    ]
+    img = np.zeros((G.order, lat.node_count), dtype=np.int64)
+    img[0] = np.arange(lat.node_count)
+    done = np.zeros(G.order, dtype=bool)
+    done[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while not done.all():
+        found = []
+        for g, gimg in zip(gens, gen_img):
+            ys = G.mul[frontier, g]
+            new = ~done[ys]
+            ys, xs = ys[new], frontier[new]
+            img[ys] = gimg[img[xs]]
+            done[ys] = True
+            found.append(ys)
+        frontier = np.concatenate(found)
+    return img
 
 
 def s_component_action(spos, base_node=None, check=True):

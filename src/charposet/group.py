@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     ClosureCapExceeded,
     InvalidPermutation,
+    LatticeConstructionFailed,
     NoSuchSubgroups,
     NotAPGroup,
     NotASubgroup,
@@ -167,16 +168,17 @@ class GroupTable:
 
 
 def _elem_orders(mul):
+    """Order of every element at once: powers x^k for all x, k = 1, 2, ..."""
     n = mul.shape[0]
+    rng = np.arange(n)
     out = np.zeros(n, dtype=np.int64)
-    for x in range(n):
-        k = 1
-        y = x
-        while y != 0:
-            y = int(mul[y, x])
-            k += 1
-        out[x] = k
-    return out
+    powers = rng
+    for k in range(1, n + 1):
+        out[(powers == 0) & (out == 0)] = k
+        if out.all():
+            return out
+        powers = mul[powers, rng]
+    raise ValueError("some element has no power equal to the identity")
 
 
 def table_from_mul(mul, label="G", words=None, direct_factors=None,
@@ -189,12 +191,10 @@ def table_from_mul(mul, label="G", words=None, direct_factors=None,
     rng = np.arange(n, dtype=np.int32)
     if not (mul[0] == rng).all() or not (mul[:, 0] == rng).all():
         raise ValueError("element 0 is not a two-sided identity")
-    inv = np.zeros(n, dtype=np.int32)
-    for x in range(n):
-        hits = np.flatnonzero(mul[x] == 0)
-        if hits.size != 1:
-            raise ValueError("table rows must be permutations")
-        inv[x] = hits[0]
+    rows, inv = np.nonzero(mul == 0)
+    if rows.size != n or (rows != rng).any():
+        raise ValueError("table rows must be permutations")
+    inv = inv.astype(np.int32)
     elem_order = _elem_orders(mul)
     mul.setflags(write=False)
     inv.setflags(write=False)
@@ -234,7 +234,9 @@ def closure_of_permutations(degree, gens, label="G", cap=None):
     """BFS closure over generator words; returns (GroupTable, perm->index map).
 
     Element enumeration is breadth-first over words, generators in input
-    order, so numbering is reproducible.
+    order, so numbering is reproducible. The BFS records right[g][x] = x*g
+    and, for each new element y = x*g, its parent (x, g); the table is then
+    filled a column at a time from z*y = (z*x)*g, one gather per element.
     """
     if cap is None:
         cap = order_cap()
@@ -246,6 +248,8 @@ def closure_of_permutations(degree, gens, label="G", cap=None):
     elems = [ident]
     index = {ident: 0}
     words = ["e"]
+    parent = [None]
+    right = [[] for _ in gens]
     syms = [
         _GEN_SYMBOLS[i] if i < len(_GEN_SYMBOLS) else f"g{i}"
         for i in range(len(gens))
@@ -255,19 +259,24 @@ def closure_of_permutations(degree, gens, label="G", cap=None):
         cur = elems[pos]
         for gi, g in enumerate(gens):
             new = _compose(cur, g)
-            if new not in index:
+            j = index.get(new)
+            if j is None:
                 if len(elems) >= cap:
                     raise ClosureCapExceeded(
                         f"closure exceeds cap {cap} (degree {degree})")
-                index[new] = len(elems)
+                j = index[new] = len(elems)
                 elems.append(new)
+                parent.append((pos, gi))
                 words.append(syms[gi] if pos == 0 else words[pos] + "*" + syms[gi])
+            right[gi].append(j)
         pos += 1
     n = len(elems)
-    mul = np.zeros((n, n), dtype=np.int32)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            mul[i, j] = index[_compose(a, b)]
+    right = np.array(right, dtype=np.int32).reshape(len(gens), n)
+    mul = np.empty((n, n), dtype=np.int32)
+    mul[:, 0] = np.arange(n, dtype=np.int32)
+    for y in range(1, n):
+        x, gi = parent[y]
+        mul[:, y] = right[gi][mul[:, x]]
     table = table_from_mul(mul, label=label, words=tuple(words))
     return table, index
 
@@ -420,7 +429,7 @@ def _extend_p_subgroup(G, mem, p):
             cur = G.mul[cur, x]
             members.update(int(v) for v in cur)
         if len(members) != p * len(mem):
-            raise AssertionError("coset union has wrong size")
+            raise LatticeConstructionFailed("coset union has wrong size")
         out.add(tuple(sorted(members)))
     return out
 
@@ -494,7 +503,8 @@ def enumerate_p_subgroups(G, p, e=0):
     if levels:
         full = p_part(G.order, p)
         if max(p ** k for k in levels) != full:
-            raise AssertionError("p-subgroup enumeration missed a Sylow level")
+            raise LatticeConstructionFailed(
+                "p-subgroup enumeration missed a Sylow level")
         sylow_ids = tuple(i for i, s in enumerate(nodes) if s.order == full)
     else:
         sylow_ids = ()
@@ -531,7 +541,7 @@ def frattini_of_p_group(P, p):
             common = s if common is None else common & s
         by_maximals = tuple(sorted(P.members[i] for i in common))
     if by_powers != by_maximals:
-        raise AssertionError("Frattini computations disagree")
+        raise LatticeConstructionFailed("Frattini computations disagree")
     return make_subgroup(G, by_powers, check=False)
 
 

@@ -13,6 +13,7 @@ from charposet.chartab import (
     abelian_rows,
     check_column_orthogonality,
     check_row_orthogonality,
+    classes_by_conjugation,
     complex_character_values,
     conjugacy_classes,
     decompose_restriction,
@@ -347,3 +348,27 @@ def test_row_orthogonality_rejects_swapped_class_columns():
     assert [int(s) for s in t.classes.sizes] == [1, 3, 2]
     rows = [(v[0], v[2], v[1]) for v in (c.values for c in t.chars)]
     assert not check_row_orthogonality(_with_values(t, rows))
+
+
+def test_abelian_classes_equal_conjugation_orbits_on_catalog_s_poset_nodes():
+    seen = set()
+    for text in catalog_roster():
+        G = cached_group(text)
+        for p in (2, 3):
+            if G.order % p:
+                continue
+            for H in s_poset(G, p, 0).lattice.nodes:
+                A = H.local
+                key = A.mul.tobytes()
+                if not A.is_abelian() or key in seen:
+                    continue
+                seen.add(key)
+                fast, orbits = conjugacy_classes(A), classes_by_conjugation(A)
+                assert fast.group is A and orbits.group is A
+                assert fast.reps == orbits.reps
+                assert all(type(r) is int for r in fast.reps)
+                for name in ("class_of", "sizes", "inverse_class"):
+                    a, b = getattr(fast, name), getattr(orbits, name)
+                    assert a.dtype == b.dtype and (a == b).all(), name
+                    assert not a.flags.writeable
+    assert len(seen) >= 50

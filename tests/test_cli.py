@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import charposet.group
 from charposet.cli import run
 
 
@@ -123,6 +124,22 @@ def test_table_construction_failure_exit_three(monkeypatch, capsys, expr,
     assert code == 3 and text == ""
     err = capsys.readouterr().err
     assert err.startswith("error: TableConstructionFailed:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_lattice_construction_failure_exit_three(monkeypatch, capsys):
+    levels = charposet.group._p_subgroup_levels
+
+    def without_top(G, p):
+        out = levels(G, p)
+        del out[max(out)]
+        return out
+
+    monkeypatch.setattr(charposet.group, "_p_subgroup_levels", without_top)
+    code, text = _run(["components", "--p", "2", "--poset", "s", "C(4)"])
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: LatticeConstructionFailed:")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -16,6 +16,7 @@ from charposet.gamma import (
     check_component_projection,
     gamma_poset,
     has_strongly_embedded_subgroup,
+    s_node_images,
     s_poset,
     scan_nontrivial_I,
     strongly_embedded_check,
@@ -24,7 +25,12 @@ from charposet.gamma import (
     x_of_sylow,
 )
 from charposet.group import all_subgroups, common_intersection_of_order
-from util import brute_force_has_strongly_embedded, cached_group
+from util import (
+    DIFFERENTIAL_GROUPS,
+    brute_force_has_strongly_embedded,
+    cached_group,
+    conjugated_node_images,
+)
 
 
 def test_s_poset_examples():
@@ -258,3 +264,15 @@ def test_derived_data_is_freed_with_its_table():
     del G
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_node_images_by_composition_match_conjugation(text):
+    G = cached_group(text)
+    for p in (2, 3):
+        for e in (0, 1):
+            spos = s_poset(G, p, e)
+            img = s_node_images(spos)
+            assert img.shape == (G.order, spos.lattice.node_count)
+            assert img.tolist() == [list(t)
+                                    for t in conjugated_node_images(spos)]

@@ -8,19 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import charposet.group as group_module
 from charposet.catalog import catalog_roster, realize
 from charposet.errors import (
     ClosureCapExceeded,
     InvalidPermutation,
+    LatticeConstructionFailed,
     NoSuchSubgroups,
     NotAPGroup,
     NotASubgroup,
     PreconditionViolated,
 )
+from charposet.gamma import s_node_images, s_poset
 from charposet.group import (
+    GroupTable,
+    _extend_p_subgroup,
     all_subgroups,
     center,
     closure_members,
+    closure_of_permutations,
     common_intersection_of_order,
     conjugate_subgroup,
     direct_table_product,
@@ -34,13 +40,19 @@ from charposet.group import (
     order_cap,
     prime_power,
     subgroup_closure,
+    table_from_mul,
     validate_group_table,
     whole_group_subgroup,
 )
 from util import (
+    DIFFERENTIAL_GROUPS,
     brute_force_subgroups,
     cached_group,
+    composition_closure,
+    conjugated_node_images,
     fixed_point_closure_members,
+    iterated_elem_orders,
+    scanned_inverses,
 )
 
 
@@ -274,3 +286,109 @@ def test_is_prime_large_values():
     assert not is_prime(318665857834031151167461)
     with pytest.raises(PreconditionViolated):
         is_prime(2 ** 89 - 1)
+
+
+def _assert_table_matches_oracles(G, degree, gens, cap):
+    mul, words = composition_closure(degree, gens, cap)
+    assert G.mul.dtype == mul.dtype and (G.mul == mul).all()
+    assert G.words == words
+
+
+def _assert_inverses_and_orders_match_oracles(G):
+    inv = scanned_inverses(G.mul)
+    assert G.inv.dtype == inv.dtype and (G.inv == inv).all()
+    orders = iterated_elem_orders(G.mul)
+    assert G.elem_order.dtype == orders.dtype
+    assert (G.elem_order == orders).all()
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_generator_fill_matches_composition_oracle(monkeypatch, text):
+    # every permutation closure the realization makes, products' factors too
+    closures = []
+    fill = closure_of_permutations
+
+    def recording(degree, gens, label="G", cap=None):
+        table, index = fill(degree, gens, label=label, cap=cap)
+        closures.append((table, degree, gens, cap or order_cap()))
+        return table, index
+
+    monkeypatch.setattr("charposet.group.closure_of_permutations", recording)
+    monkeypatch.setattr("charposet.catalog.closure_of_permutations",
+                        recording)
+    G = realize(text)
+    assert closures
+    for table, degree, gens, cap in closures:
+        _assert_table_matches_oracles(table, degree, gens, cap)
+    _assert_inverses_and_orders_match_oracles(G)
+
+
+@st.composite
+def _permutation_generators(draw):
+    degree = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(degree)), max_size=3))
+    return degree, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permutation_generators())
+def test_generator_fill_matches_oracles_on_random_generators(case):
+    degree, gens = case
+    cap = 200
+    try:
+        composition_closure(degree, gens, cap)
+    except ClosureCapExceeded:
+        with pytest.raises(ClosureCapExceeded):
+            closure_of_permutations(degree, gens, cap=cap)
+        return
+    G, _ = closure_of_permutations(degree, gens, cap=cap)
+    _assert_table_matches_oracles(G, degree, gens, cap)
+    _assert_inverses_and_orders_match_oracles(G)
+    for p in (2, 3):
+        spos = s_poset(G, p, 0)
+        img = s_node_images(spos)
+        assert img.shape == (G.order, spos.lattice.node_count)
+        assert img.tolist() == [list(t) for t in conjugated_node_images(spos)]
+
+
+@pytest.mark.parametrize("mul", [
+    [[0, 1, 2], [1, 0, 0], [2, 1, 0]],      # four identities in three rows
+    [[0, 1, 2], [1, 0, 0], [2, 2, 1]],      # three, but none in the last row
+])
+def test_table_from_mul_rejects_rows_without_one_inverse(mul):
+    with pytest.raises(ValueError, match="rows must be permutations"):
+        table_from_mul(mul)
+
+
+def test_table_from_mul_rejects_an_element_of_no_finite_order():
+    # rows permute and one identity per row, but 1 -> 1*1 = 2 -> 2*1 = 1
+    # never reaches the identity: a square that is no group
+    with pytest.raises(ValueError, match="no power equal to the identity"):
+        table_from_mul([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+
+
+def test_coset_union_of_wrong_size_is_typed(monkeypatch):
+    # pretend the involution of C(2) is a 3-element with trivial cube
+    monkeypatch.setattr(group_module, "is_p_power", lambda n, p: True)
+    monkeypatch.setattr(GroupTable, "power", lambda self, x, k: 0)
+    with pytest.raises(LatticeConstructionFailed, match="coset union"):
+        _extend_p_subgroup(cached_group("C(2)"), (0,), 3)
+
+
+def test_missed_sylow_level_is_typed(monkeypatch):
+    levels = group_module._p_subgroup_levels
+
+    def without_top(G, p):
+        out = levels(G, p)
+        del out[max(out)]
+        return out
+
+    monkeypatch.setattr(group_module, "_p_subgroup_levels", without_top)
+    with pytest.raises(LatticeConstructionFailed, match="Sylow level"):
+        enumerate_p_subgroups(realize("C(4)"), 2)
+
+
+def test_frattini_disagreement_is_typed(monkeypatch):
+    monkeypatch.setattr(group_module, "closure_members", lambda G, seed: (0,))
+    with pytest.raises(LatticeConstructionFailed, match="Frattini"):
+        frattini_of_p_group(whole_group_subgroup(realize("C(4)")), 2)

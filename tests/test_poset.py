@@ -90,3 +90,34 @@ def test_non_permutation_rejected():
     part = components(2, [])
     with pytest.raises(ActionNotCompatible):
         action_on_components(G, part, [(0, 0), (0, 0)])
+
+
+def test_edge_breaking_action_rejected():
+    G = cached_group("C(2)")
+    part = components(3, [(0, 1)])
+    # the involution maps the edge {0, 1} to {0, 2}, which is no edge
+    with pytest.raises(ActionNotCompatible, match="preserve edges"):
+        action_on_components(G, part, [(0, 1, 2), (0, 2, 1)], edges=[(0, 1)])
+
+
+def test_component_splitting_action_rejected():
+    G = cached_group("C(2)")
+    part = components(3, [(0, 1)])
+    # edges are not passed, so only the split of {0, 1} shows
+    with pytest.raises(ActionNotCompatible, match="splits a component"):
+        action_on_components(G, part, [(0, 1, 2), (0, 2, 1)])
+
+
+def test_non_homomorphic_action_rejected():
+    G = cached_group("C(3)")
+    part = components(2, [])
+    # each row permutes, but a generator acting as an involution cannot
+    # extend to an action of C(3): 1 * 1 = 2 should act as the identity
+    with pytest.raises(ActionNotCompatible, match="multiplication"):
+        action_on_components(G, part, [(0, 1), (1, 0), (1, 0)])
+
+
+def test_node_images_of_the_wrong_shape_rejected():
+    G = cached_group("C(2)")
+    with pytest.raises(ActionNotCompatible, match="shape"):
+        action_on_components(G, components(2, []), [(0, 1)])

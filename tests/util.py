@@ -4,9 +4,15 @@ import itertools
 
 import numpy as np
 
-from charposet.catalog import realize
+from charposet.catalog import catalog_roster, realize
+from charposet.errors import ClosureCapExceeded
 from charposet.gamma import strongly_embedded_check
 from charposet.group import all_subgroups, closure_members
+
+# The catalog plus the largest groups the engine handles: the groups on
+# which the generator-based fast paths are checked against their oracles.
+DIFFERENTIAL_GROUPS = tuple(catalog_roster()) + (
+    "PSL(2,8)", "PSL(2,11)", "A(6)", "S(6)")
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,3 +69,65 @@ def brute_force_has_strongly_embedded(G, p, e):
     return any(M.order < G.order and M.order % pe1 == 0
                and strongly_embedded_check(G, p, e, M, 5)
                for M in all_subgroups(G))
+
+
+def composition_closure(degree, gens, cap):
+    """(mul, words) of the closure: BFS over words, then n^2 compositions."""
+    def compose(a, b):
+        return tuple(b[a[i]] for i in range(len(a)))
+
+    gens = [tuple(int(i) for i in g) for g in gens]
+    ident = tuple(range(degree))
+    elems = [ident]
+    index = {ident: 0}
+    words = ["e"]
+    pos = 0
+    while pos < len(elems):
+        cur = elems[pos]
+        for gi, g in enumerate(gens):
+            new = compose(cur, g)
+            if new not in index:
+                if len(elems) >= cap:
+                    raise ClosureCapExceeded(f"closure exceeds cap {cap}")
+                index[new] = len(elems)
+                elems.append(new)
+                sym = "abcdefghijklmnopqrstuvwxyz"[gi]
+                words.append(sym if pos == 0 else words[pos] + "*" + sym)
+        pos += 1
+    n = len(elems)
+    mul = np.zeros((n, n), dtype=np.int32)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            mul[i, j] = index[compose(a, b)]
+    return mul, tuple(words)
+
+
+def scanned_inverses(mul):
+    """inv[x] = the one y with x*y = identity, row by row."""
+    inv = np.zeros(mul.shape[0], dtype=np.int32)
+    for x in range(mul.shape[0]):
+        hits = np.flatnonzero(mul[x] == 0)
+        assert hits.size == 1
+        inv[x] = hits[0]
+    return inv
+
+
+def iterated_elem_orders(mul):
+    """Order of each element by multiplying by it until the identity."""
+    out = np.zeros(mul.shape[0], dtype=np.int64)
+    for x in range(mul.shape[0]):
+        k, y = 1, x
+        while y != 0:
+            y = int(mul[y, x])
+            k += 1
+        out[x] = k
+    return out
+
+
+def conjugated_node_images(spos):
+    """node_image[g][i] = node id of (node i)^g, conjugating by every g."""
+    G = spos.group
+    lat = spos.lattice
+    return [tuple(lat.node_of_members(G.conj_set(sub.members, g))
+                  for sub in lat.nodes)
+            for g in range(G.order)]
