@@ -374,7 +374,7 @@ def decompose_restriction(ctx, K, psi, H):
     vals = restrict_values(ctx, K, psi, H)
     mults = tuple(inner_product(tH, vals, phi.values) for phi in tH.chars)
     if sum(m * phi.degree for m, phi in zip(mults, tH.chars)) != psi.degree:
-        raise AssertionError("restriction degrees do not add up")
+        raise TableConstructionFailed("restriction degrees do not add up")
     return mults
 
 
@@ -410,11 +410,12 @@ def induce(ctx, H, theta):
     values = tuple(values)
     degree = (G.order // H.order) * theta.degree
     if values[0] != degree % q:
-        raise AssertionError("induced degree mismatch")
+        raise TableConstructionFailed("induced degree mismatch")
     decomposition = tuple(inner_product(tG, values, chi.values)
                           for chi in tG.chars)
     if sum(m * chi.degree for m, chi in zip(decomposition, tG.chars)) != degree:
-        raise AssertionError("induction decomposition degrees do not add up")
+        raise TableConstructionFailed(
+            "induction decomposition degrees do not add up")
     return InducedCharacter(values=values, decomposition=decomposition,
                             degree=degree)
 

@@ -23,7 +23,7 @@ from .gamma import (
     scan_nontrivial_I,
     verify,
 )
-from .group import is_p_power, is_prime, order_cap
+from .group import is_p_power, is_prime, order_cap, p_valuation
 
 _THEOREM_FLAGS = {
     "A": "ThmA", "B": "ThmB", "C": "ThmC",
@@ -185,8 +185,8 @@ def _cmd_scan_q1(args, out):
     roster = []
     for text in catalog_roster(max_order=args.max_order):
         G = _realize(text)
-        if G.order % args.p == 0 and G.order >= args.p ** args.k and \
-                is_p_power(G.order, args.p):
+        if is_p_power(G.order, args.p) and \
+                p_valuation(G.order, args.p) >= args.k:
             roster.append(G)
     results, errors = scan_nontrivial_I(roster, args.p, args.k)
     print(f"p: {args.p}  k: {args.k}  groups scanned: {len(roster)}",

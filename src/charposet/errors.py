@@ -37,6 +37,10 @@ class LatticeConstructionFailed(CharposetError):
     """A p-subgroup lattice or Frattini computation failed its own check."""
 
 
+class CrossCheckFailed(CharposetError):
+    """Two independent computations of the same quantity disagree."""
+
+
 class ContextMismatch(CharposetError):
     """Class functions or characters belong to different contexts."""
 

@@ -22,6 +22,8 @@ from .chartab import (
     validate_semidirect,
 )
 from .errors import (
+    CharposetError,
+    CrossCheckFailed,
     HypothesisNotSatisfied,
     NotAPGroup,
     NotASylowNode,
@@ -39,10 +41,19 @@ from .group import (
     make_subgroup,
     normalizer,
     omega1,
+    p_valuation,
     whole_group_subgroup,
 )
 from .modlinalg import inv_mod
 from .poset import Partition, action_on_components, components
+
+
+def _power_text(p, k):
+    """p^k in decimal, or as "p^k" when it would take over 64 bits.
+
+    e is unbounded, and a huge power is slow to form and too long to print.
+    """
+    return str(p ** k) if k * p.bit_length() <= 64 else f"{p}^{k}"
 
 
 def char_context(G):
@@ -231,9 +242,10 @@ def strongly_embedded_check(G, p, e, M, condition):
     """
     if M.parent is not G or M.order == G.order:
         raise PreconditionViolated("M must be a proper subgroup of G")
+    if p_valuation(G.order, p) <= e:
+        raise PreconditionViolated(
+            f"{_power_text(p, e + 1)} does not divide |G|")
     pe1 = p ** (e + 1)
-    if G.order % pe1:
-        raise PreconditionViolated(f"{pe1} does not divide |G|")
     spos = s_poset(G, p, e)
     lat = spos.lattice
 
@@ -313,7 +325,7 @@ def has_strongly_embedded_subgroup(G, p, e):
     The overgroups are built upward from N_G(P0): <M, g> depends only on
     the double coset MgM, so M is extended by one element of each.
     """
-    if G.order % p ** (e + 1):
+    if p_valuation(G.order, p) <= e:
         return False
     lat = s_poset(G, p, e).lattice
     N = normalizer(G, lat.nodes[lat.sylow_ids[0]])
@@ -334,47 +346,6 @@ def has_strongly_embedded_subgroup(G, p, e):
     return False
 
 
-# --- component projection (poset-map) validation ---------------------------
-
-def check_component_projection(gamma):
-    """Validate the projection Gamma -> S, (H, phi) -> H, component-wise.
-
-    Checks that the preimage of each S-component is a union of whole Gamma
-    components, that the projection is surjective, hence |pi_0 Gamma| >=
-    |pi_0 S|, and that the Gamma components partition into the per-S-component
-    families. Returns (|pi_0 Gamma|, |pi_0 S|).
-    """
-    sp = gamma.s.partition
-    gp = gamma.partition
-    comp_target = {}
-    for n, node in enumerate(gamma.nodes):
-        c = gp.component_of[n]
-        t = sp.component_of[node.subgroup_id]
-        if comp_target.setdefault(c, t) != t:
-            raise AssertionError(
-                "a Gamma component projects onto two S components")
-    if set(comp_target.values()) != set(range(sp.count)):
-        raise AssertionError("projection is not surjective on components")
-    if gp.count < sp.count:
-        raise AssertionError("surjective poset map increased components")
-    per_target = {}
-    for c, t in comp_target.items():
-        per_target[t] = per_target.get(t, 0) + 1
-    if sum(per_target.values()) != gp.count:
-        raise AssertionError("component families do not partition pi_0 Gamma")
-    return gp.count, sp.count
-
-
-def subgroup_reaches_all_components(gamma, subgroup_id):
-    """Whether every Gamma component contains a node over this subgroup."""
-    reached = {
-        gamma.partition.component_of[n]
-        for n, node in enumerate(gamma.nodes)
-        if node.subgroup_id == subgroup_id
-    }
-    return len(reached) == gamma.partition.count
-
-
 # --- structural subgroup searches ------------------------------------------
 
 def _sylow_has_cc_or_elem_abelian(G, p, e):
@@ -384,8 +355,7 @@ def _sylow_has_cc_or_elem_abelian(G, p, e):
     p^(2e+2) that is abelian with exponent p^(e+1) and p^2 elements of order
     dividing p is homocyclic of rank 2; elementary abelian means exponent p.
     """
-    lat = s_poset(G, p, 0).lattice
-    for sub in lat.nodes:
+    for sub in enumerate_p_subgroups(G, p).nodes:
         if sub.order == p ** (2 * e + 2):
             loc = sub.local
             if loc.is_abelian() and loc.exponent() == p ** (e + 1) and \
@@ -434,9 +404,14 @@ def _require(cond, why):
         raise HypothesisNotSatisfied(why)
 
 
+def _require_pe1_divides(G, p, e):
+    _require(p_valuation(G.order, p) > e,
+             f"p^(e+1) = {_power_text(p, e + 1)} does not divide "
+             f"|G| = {G.order}")
+
+
 def _claim_thm_a(G, p, e):
-    _require(G.order % p ** (e + 1) == 0,
-             f"p^(e+1) = {p ** (e + 1)} does not divide |G| = {G.order}")
+    _require_pe1_divides(G, p, e)
     spos = s_poset(G, p, e)
     gam = gamma_poset(G, p, e)
     P = spos.lattice.sylow_ids[0]
@@ -494,9 +469,8 @@ def _claim_l2_3(G, p, e):
     factors = G.direct_factors
     _require(factors is not None and len(factors) >= 2,
              "G carries no direct-product decomposition")
-    pe1 = p ** (e + 1)
-    _require(all(G.order // len(f) >= pe1 for f in factors),
-             f"some factor has index < {pe1}")
+    _require(all(p_valuation(G.order // len(f), p) > e for f in factors),
+             f"some factor has index < {_power_text(p, e + 1)}")
     gam = gamma_poset(G, p, e)
     return ({"components": gam.partition.count}, {"components": 1})
 
@@ -592,8 +566,7 @@ def _claim_l4_6(G, p, e):
 
 
 def _claim_cor2_2(G, p, e):
-    _require(G.order % p ** (e + 1) == 0,
-             f"p^(e+1) = {p ** (e + 1)} does not divide |G| = {G.order}")
+    _require_pe1_divides(G, p, e)
     spos = s_poset(G, p, e)
     observed = {"s_disconnected": spos.partition.count > 1}
     expected = {"s_disconnected": has_strongly_embedded_subgroup(G, p, e)}
@@ -656,18 +629,18 @@ def scan_nontrivial_I(roster, p, k):
                     else entry
                 G = realize_group(expr)
                 label = G.label
-            if not is_p_power(G.order, p) or G.order < p ** k:
-                raise NotAPGroup(
-                    f"{label} is not a p-group of order >= {p ** k}")
+            if not is_p_power(G.order, p) or p_valuation(G.order, p) < k:
+                raise NotAPGroup(f"{label} is not a p-group of order >= "
+                                 f"{_power_text(p, k)}")
             size = common_intersection_of_order(G, p, k).order
             if size > 1:
                 if k == 2:
                     got = gamma_poset(G, p, 1).partition.count
                     if got != size:
-                        raise AssertionError(
+                        raise CrossCheckFailed(
                             f"|I| = {size} but Gamma(p,1) has {got} "
                             "components")
                 results.append((label, size))
-        except Exception as exc:        # noqa: BLE001 - per-entry reporting
+        except CharposetError as exc:
             errors.append((label, f"{type(exc).__name__}: {exc}"))
     return results, errors

@@ -7,6 +7,7 @@ operation is a pure function of its inputs.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import count
 from math import isqrt, lcm
@@ -95,12 +96,13 @@ def prime_power(n):
     return (p, k) if p ** k == n else None
 
 
-def p_part(n, p):
-    out = 1
+def p_valuation(n, p):
+    """The exponent of the prime p in n >= 1."""
+    k = 0
     while n % p == 0:
         n //= p
-        out *= p
-    return out
+        k += 1
+    return k
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,27 +204,6 @@ def table_from_mul(mul, label="G", words=None, direct_factors=None,
     return GroupTable(order=n, mul=mul, inv=inv, elem_order=elem_order,
                       label=label, words=words, direct_factors=direct_factors,
                       semidirect_parts=semidirect_parts)
-
-
-def validate_group_table(G, check_associativity=True):
-    """Exhaustive structural validation; used by test builds (n <= 256)."""
-    n = G.order
-    mul = G.mul
-    rng = np.arange(n)
-    assert all((np.sort(mul[x]) == rng).all() for x in range(n)), "not a Latin square (rows)"
-    assert all((np.sort(mul[:, x]) == rng).all() for x in range(n)), "not a Latin square (cols)"
-    assert (mul[0] == rng).all() and (mul[:, 0] == rng).all(), "identity broken"
-    assert all(mul[x, G.inv[x]] == 0 for x in range(n)), "inverses broken"
-    if check_associativity and n <= 256:
-        for z in range(n):
-            left = mul[:, z][mul]            # (x*y)*z
-            right = mul[:, mul[:, z]]        # x*(y*z)
-            assert (left == right).all(), "associativity fails"
-    for x in range(n):
-        k = int(G.elem_order[x])
-        assert G.power(x, k) == 0 and all(G.power(x, j) != 0 for j in range(1, k))
-        assert n % k == 0, "element order does not divide group order"
-    return True
 
 
 def _compose(a, b):
@@ -369,22 +350,22 @@ def subgroup_closure(G, seed):
     return make_subgroup(G, closure_members(G, seed), check=False)
 
 
-def conjugate_subgroup(G, H, g):
-    """H^g = {g^-1 h g : h in H}."""
-    if H.parent is not G:
-        raise NotASubgroup("subgroup belongs to a different parent group")
-    return make_subgroup(G, (int(x) for x in G.conj_set(H.members, g)),
-                         check=False)
+def _normalizer_mask(G, gens, mask):
+    """Mask of N_G(H), H given by its membership mask and generators.
+
+    g normalizes H exactly when it conjugates every generator into H, since
+    H^g is generated by their images and has the order of H. Any member
+    array of H that generates it will do, all of H included.
+    """
+    hg = G.mul[np.asarray(gens, dtype=np.int32)].T     # (n, |gens|): h*g
+    return mask[G.mul[G.inv[:, None], hg]].all(axis=1)
 
 
 def normalizer(G, H):
     """N_G(H) = {g : H^g = H}."""
     if H.parent is not G:
         raise NotASubgroup("subgroup belongs to a different parent group")
-    marr = np.array(H.members, dtype=np.int32)
-    t = G.mul[G.inv[:, None], marr[None, :]]           # (n, |H|)
-    imgs = G.mul[t, np.arange(G.order, dtype=np.int32)[:, None]]
-    ok = H.mask[imgs].all(axis=1)
+    ok = _normalizer_mask(G, H.members, H.mask)
     return make_subgroup(G, (int(x) for x in np.flatnonzero(ok)), check=False)
 
 
@@ -412,48 +393,34 @@ def omega1(P, p):
     return sub
 
 
-def _extend_p_subgroup(G, mem, p):
-    """Index-p overgroups of the p-subgroup with member tuple `mem`."""
-    H = make_subgroup(G, mem, check=False)
-    nz = normalizer(G, H)
-    out = set()
-    hset = H.member_set
-    for x in nz.members:
-        if x in hset or not is_p_power(int(G.elem_order[x]), p):
+def _extend_p_subgroup(G, mem, gens, p):
+    """Index-p overgroups of the p-subgroup H = <gens> with members `mem`.
+
+    Each is <H, x> = H u Hx u ... u Hx^(p-1) for a p-element x in N_G(H)
+    outside H with x^p in H, returned as (member tuple, x). An x inside an
+    overgroup already found only finds that overgroup again, so it is
+    skipped.
+    """
+    marr = np.array(mem, dtype=np.int32)
+    hmask = np.zeros(G.order, dtype=bool)
+    hmask[marr] = True
+    seen = hmask.copy()             # H and every overgroup found so far
+    out = []
+    for x in np.flatnonzero(_normalizer_mask(G, gens, hmask)):
+        x = int(x)
+        if seen[x] or not is_p_power(int(G.elem_order[x]), p):
             continue
-        if G.power(x, p) not in hset:
+        if not hmask[G.power(x, p)]:
             continue
-        members = set(mem)
-        cur = np.array(mem, dtype=np.int32)
+        cosets = [marr]
         for _ in range(p - 1):
-            cur = G.mul[cur, x]
-            members.update(int(v) for v in cur)
-        if len(members) != p * len(mem):
+            cosets.append(G.mul[cosets[-1], x])
+        members = np.unique(np.concatenate(cosets))
+        if members.size != p * len(mem):
             raise LatticeConstructionFailed("coset union has wrong size")
-        out.add(tuple(sorted(members)))
+        seen[members] = True
+        out.append((tuple(int(v) for v in members), x))
     return out
-
-
-def _p_subgroup_levels(G, p):
-    """All p-subgroups of G by order exponent: {k: sorted member tuples}."""
-    lvl1 = sorted({
-        tuple(sorted({G.power(x, i) for i in range(p)}))
-        for x in range(G.order) if int(G.elem_order[x]) == p
-    })
-    levels = {}
-    if not lvl1:
-        return levels
-    levels[1] = lvl1
-    k = 1
-    while True:
-        nxt = set()
-        for mem in levels[k]:
-            nxt |= _extend_p_subgroup(G, mem, p)
-        if not nxt:
-            break
-        k += 1
-        levels[k] = sorted(nxt)
-    return levels
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,37 +447,74 @@ class PSubgroupLattice:
         return tuple(i for i, s in enumerate(self.nodes) if s.order == order)
 
 
+def _build_p_lattice(G, p):
+    """S_{p,0}(G) by levels of order p, p^2, ...; each level extends the last.
+
+    Nodes are sorted by order, then by member tuple. Every index-p inclusion
+    H < K is one extension step of H (any x in K outside H lies in N_G(H)
+    and has x^p in H), so the covers are recorded as the levels are built.
+    Each node keeps the generators it was first reached by: one element of
+    order p, then one more per step.
+    """
+    gens = {
+        tuple(sorted({G.power(x, i) for i in range(p)})): (x,)
+        for x in range(G.order) if int(G.elem_order[x]) == p
+    }
+    level = sorted(gens)
+    members = []
+    steps = []                       # (H, K) member tuples, |K : H| = p
+    while level:
+        members.extend(level)
+        above = set()
+        for mem in level:
+            for over, x in _extend_p_subgroup(G, mem, gens[mem], p):
+                steps.append((mem, over))
+                gens.setdefault(over, gens[mem] + (x,))
+                above.add(over)
+        level = sorted(above)
+    node_index = {mem: i for i, mem in enumerate(members)}
+    covers = sorted((node_index[K], node_index[H]) for H, K in steps)
+    nodes = tuple(make_subgroup(G, mem, check=False) for mem in members)
+    sylow = p ** p_valuation(G.order, p)
+    if nodes and nodes[-1].order != sylow:
+        raise LatticeConstructionFailed(
+            "p-subgroup enumeration missed a Sylow level")
+    return PSubgroupLattice(
+        group=G, p=p, e=0, nodes=nodes,
+        covers=tuple((i, j) for j, i in covers),
+        sylow_ids=tuple(i for i, s in enumerate(nodes) if s.order == sylow),
+        node_index=node_index)
+
+
 def enumerate_p_subgroups(G, p, e=0):
-    """Build the S_{p,e}(G) lattice bottom-up via normalizer extensions."""
+    """S_{p,e}(G): the nodes of order > p^e of the cached S_{p,0}(G).
+
+    S_{p,0} is built once per (G, p). S_{p,e} is the suffix of its nodes of
+    order exponent > e, renumbered from 0, with the covers and Sylow nodes
+    inside that suffix.
+    """
     if not is_prime(p):
         raise PreconditionViolated(f"p = {p} is not prime")
     if e < 0:
         raise PreconditionViolated("e must be >= 0")
-    levels = _p_subgroup_levels(G, p)
-    node_members = []
-    for k in sorted(levels):
-        if p ** k > p ** e:
-            node_members.extend(levels[k])
-    nodes = tuple(make_subgroup(G, mem, check=False) for mem in node_members)
-    node_index = {mem: i for i, mem in enumerate(node_members)}
-    covers = []
-    for j, K in enumerate(nodes):
-        big = K.member_set
-        target = K.order // p
-        for i, H in enumerate(nodes):
-            if H.order == target and H.member_set <= big:
-                covers.append((i, j))
-    if levels:
-        full = p_part(G.order, p)
-        if max(p ** k for k in levels) != full:
-            raise LatticeConstructionFailed(
-                "p-subgroup enumeration missed a Sylow level")
-        sylow_ids = tuple(i for i, s in enumerate(nodes) if s.order == full)
-    else:
-        sylow_ids = ()
-    return PSubgroupLattice(group=G, p=p, e=e, nodes=nodes,
-                            covers=tuple(covers), sylow_ids=sylow_ids,
-                            node_index=node_index)
+    lat = G.memo(("p_lattice", p), lambda: _build_p_lattice(G, p))
+    if e == 0:
+        return lat
+    start = bisect_right(lat.nodes, e,
+                         key=lambda s: p_valuation(s.order, p))
+    nodes = lat.nodes[start:]
+    return PSubgroupLattice(
+        group=G, p=p, e=e, nodes=nodes,
+        covers=tuple((i - start, j - start) for i, j in lat.covers
+                     if i >= start),
+        sylow_ids=tuple(i - start for i in lat.sylow_ids if i >= start),
+        node_index={s.members: i for i, s in enumerate(nodes)})
+
+
+def _intersection(subgroups):
+    """Sorted member tuple of the intersection of a nonempty list."""
+    return tuple(sorted(frozenset.intersection(
+        *(s.member_set for s in subgroups))))
 
 
 def frattini_of_p_group(P, p):
@@ -527,19 +531,17 @@ def frattini_of_p_group(P, p):
         yx = G.mul[marr, x]
         gens.update(int(v) for v in G.mul[G.inv[xy], yx])  # (xy)^-1 yx = [x,y]
     by_powers = closure_members(G, gens)
-    # (a) intersection of the index-p subgroups of P
+    # (a) intersection of the index-p subgroups of P: its lower covers in G's
+    # p-subgroup lattice
     if P.order == p:
         by_maximals = (0,)
     else:
-        levels = _p_subgroup_levels(P.local, p)
-        kmax = max(levels)
-        if p ** kmax != P.order:
-            raise NotAPGroup("P is not a p-group")
-        common = None
-        for mem in levels[kmax - 1]:
-            s = set(mem)
-            common = s if common is None else common & s
-        by_maximals = tuple(sorted(P.members[i] for i in common))
+        lat = enumerate_p_subgroups(G, p)
+        j = lat.node_index.get(P.members)
+        if j is None:
+            raise LatticeConstructionFailed("P is not a node of G's lattice")
+        by_maximals = _intersection(
+            [lat.nodes[i] for i, k in lat.covers if k == j])
     if by_powers != by_maximals:
         raise LatticeConstructionFailed("Frattini computations disagree")
     return make_subgroup(G, by_powers, check=False)
@@ -549,16 +551,12 @@ def common_intersection_of_order(G, p, k):
     """Intersection of all subgroups of G of order p^k."""
     if not is_prime(p) or k < 1:
         raise PreconditionViolated("need p prime and k >= 1")
-    if G.order % (p ** k) != 0:
-        raise NoSuchSubgroups(f"p^k = {p**k} does not divide |G| = {G.order}")
-    levels = _p_subgroup_levels(G, p)
-    if k not in levels or not levels[k]:
-        raise NoSuchSubgroups(f"no subgroup of order {p**k}")
-    common = None
-    for mem in levels[k]:
-        s = set(mem)
-        common = s if common is None else common & s
-    return make_subgroup(G, sorted(common), check=False)
+    if p_valuation(G.order, p) < k:
+        raise NoSuchSubgroups(f"{p}^{k} does not divide |G| = {G.order}")
+    lat = enumerate_p_subgroups(G, p)
+    # nonempty: by Sylow's theorem, checked when the lattice was built
+    level = [s for s in lat.nodes if p_valuation(s.order, p) == k]
+    return make_subgroup(G, _intersection(level), check=False)
 
 
 def all_subgroups(G):

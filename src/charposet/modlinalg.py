@@ -176,7 +176,9 @@ def charpoly(A, q):
     out = [0]
     for x, y in zip(xs, ys):
         li, rem = poly_divmod(master, [(-x) % q, 1], q)
-        assert rem == [0]
+        if rem != [0]:
+            raise TableConstructionFailed(
+                "interpolation node is not a root of the master polynomial")
         denom = poly_eval(li, x, q)
         out = poly_add(out, poly_scale(li, y * inv_mod(denom, q) % q, q), q)
     return poly_trim(out)

@@ -15,7 +15,6 @@ from charposet.chartab import (
 )
 from charposet.gamma import (
     build_gamma_poset,
-    check_component_projection,
     gamma_poset,
     has_strongly_embedded_subgroup,
     s_component_action,
@@ -31,7 +30,11 @@ from charposet.group import (
     normalizer,
     omega1,
 )
-from util import brute_force_subgroups, cached_group
+from util import (
+    brute_force_subgroups,
+    cached_group,
+    check_component_projection,
+)
 
 
 def _report(capsys, n, desc, failures):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charposet import modlinalg
 from charposet.catalog import catalog_roster
 from charposet.chartab import (
     CharContext,
@@ -372,3 +373,28 @@ def test_abelian_classes_equal_conjugation_orbits_on_catalog_s_poset_nodes():
                     assert a.dtype == b.dtype and (a == b).all(), name
                     assert not a.flags.writeable
     assert len(seen) >= 50
+
+
+def test_failed_induction_and_restriction_checks_are_typed():
+    G = cached_group("S(3)")
+    ctx = CharContext(G)
+    C3 = s_poset(G, 3, 0).lattice.nodes[0]
+    theta = ctx.table(C3).chars[1]
+    with pytest.raises(TableConstructionFailed, match="induced degree"):
+        induce(ctx, C3, Character(degree=2, values=theta.values, id=-1))
+    # a third of the regular character of C3 is a class function but not a
+    # character: its induction does not decompose into degrees that add up
+    third = Character(degree=1, values=(1, 0, 0), id=-1)
+    with pytest.raises(TableConstructionFailed, match="do not add up"):
+        induce(ctx, C3, third)
+    chi = ctx.table().chars[0]
+    with pytest.raises(TableConstructionFailed, match="restriction degrees"):
+        decompose_restriction(ctx, ctx.whole(),
+                              Character(degree=5, values=chi.values, id=-1),
+                              C3)
+
+
+def test_charpoly_interpolation_check_is_typed(monkeypatch):
+    monkeypatch.setattr(modlinalg, "poly_divmod", lambda f, g, q: ([0], [1]))
+    with pytest.raises(TableConstructionFailed, match="interpolation"):
+        modlinalg.charpoly(np.eye(2, dtype=np.int64), 7)

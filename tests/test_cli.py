@@ -1,11 +1,19 @@
 """Command-line surface: exit codes, formats, determinism."""
+import contextlib
 import csv
 import io
 import json
+import os
+import re
 import time
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import charposet.chartab
+import charposet.gamma
 import charposet.group
 from charposet.cli import run
 
@@ -128,14 +136,9 @@ def test_table_construction_failure_exit_three(monkeypatch, capsys, expr,
 
 
 def test_lattice_construction_failure_exit_three(monkeypatch, capsys):
-    levels = charposet.group._p_subgroup_levels
-
-    def without_top(G, p):
-        out = levels(G, p)
-        del out[max(out)]
-        return out
-
-    monkeypatch.setattr(charposet.group, "_p_subgroup_levels", without_top)
+    # no extension step finds anything: the lattice stops at order p
+    monkeypatch.setattr(charposet.group, "_extend_p_subgroup",
+                        lambda G, mem, gens, p: [])
     code, text = _run(["components", "--p", "2", "--poset", "s", "C(4)"])
     assert code == 3 and text == ""
     err = capsys.readouterr().err
@@ -227,3 +230,123 @@ def test_catalog_run_csv():
                        "status", "millis"]
     assert all(len(r) == 8 for r in rows[1:])
     assert all(r[6] in {"pass", "fail", "inapplicable"} for r in rows[1:])
+
+
+@pytest.mark.parametrize("target, broken", [
+    ("restrict_values", lambda ctx, K, psi, H: [0] * ctx.table(H).count),
+    ("inner_product", lambda table, a, b: 0),
+])
+def test_failed_character_check_exit_three(monkeypatch, capsys, target,
+                                           broken):
+    # restrict_values feeds decompose_restriction, inner_product feeds the
+    # decompositions of both induce and decompose_restriction; neither is
+    # used to build the tables
+    monkeypatch.setattr(charposet.chartab, target, broken)
+    code, text = _run(["verify", "--theorem", "L4.3", "--p", "3", "--e", "1",
+                       "X(3,+)"])
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: TableConstructionFailed:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_scan_q1_failed_cross_check_exit_three(monkeypatch, capsys):
+    wrong = SimpleNamespace(partition=SimpleNamespace(count=999))
+    monkeypatch.setattr(charposet.gamma, "gamma_poset",
+                        lambda G, p, e: wrong)
+    code, text = _run(["scan-q1", "--p", "2", "--max-order", "8"])
+    assert code == 3
+    assert "no groups with nontrivial I" in text
+    err = capsys.readouterr().err
+    assert "error: C(4): CrossCheckFailed: |I| = 4" in err
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["verify", "--theorem", "A", "--p", "3", "--e", "10000", "C(9)"],
+     "INAPPLICABLE"),
+    (["verify", "--theorem", "Cor2.2", "--p", "2", "--e", "20000", "C(4)"],
+     "INAPPLICABLE"),
+    (["verify", "--theorem", "L2.3", "--p", "3", "--e", "10000",
+      "C(3) x C(3)"], "INAPPLICABLE"),
+    (["components", "--p", "3", "--e", "10000000", "C(9)"], "components: 0"),
+    (["psubgroups", "--p", "3", "--e", "10000000", "C(9)"], "nodes: 0"),
+    (["scan-q1", "--p", "3", "--k", "10000000", "--max-order", "9"],
+     "groups scanned: 0"),
+])
+def test_huge_e_or_k_is_decided_fast(argv, shown):
+    start = time.perf_counter()
+    code, text = _run(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and shown in text
+
+
+def test_huge_e_reason_names_the_power_symbolically():
+    _, text = _run(["verify", "--theorem", "A", "--p", "3", "--e", "10000",
+                    "C(9)"])
+    assert "p^(e+1) = 3^10001 does not divide |G| = 9" in text
+    _, text = _run(["verify", "--theorem", "A", "--p", "3", "--e", "2",
+                    "C(9)"])
+    assert "p^(e+1) = 27 does not divide |G| = 9" in text
+
+
+# each domain is drawn half from values that pass the usage checks, half
+# from values that must be refused, so that deep paths are reached often
+_FUZZ_EXPRS = st.sampled_from(["C(4)", "S(3)", "Q(8)", "C(2) x C(2)", "C(9)",
+                               "C(1)"]) | \
+    st.sampled_from(["C(", "Z(3)", "", "C(4) x", "C(" + "9" * 5000 + ")"])
+_FUZZ_P = st.sampled_from([2, 3]) | \
+    st.sampled_from([0, 1, 4, 2 ** 61 - 1, 10 ** 30])
+_FUZZ_E = st.sampled_from([-1, 0, 1, 2]) | st.sampled_from([10 ** 4, 10 ** 6])
+_FUZZ_CAP = st.none() | st.sampled_from(["abc", "0", "16", "64"])
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(
+        ["irr", "psubgroups", "components", "verify", "scan-q1",
+         "catalog-run"]))
+    p = str(draw(_FUZZ_P))
+    e = str(draw(_FUZZ_E))
+    expr = draw(_FUZZ_EXPRS)
+    if command == "irr":
+        return [command, expr]
+    if command == "psubgroups":
+        return [command, "--p", p, "--e", e, expr]
+    if command == "components":
+        poset = draw(st.sampled_from(["gamma", "s"]))
+        return [command, "--p", p, "--e", e, "--poset", poset, expr]
+    if command == "verify":
+        theorem = draw(st.sampled_from(
+            ["A", "B", "C", "L2.3", "L4.1", "L4.2", "L4.3", "L4.4", "L4.6",
+             "Cor2.2"]))
+        return [command, "--theorem", theorem, "--p", p, "--e", e, expr]
+    max_order = str(draw(st.integers(1, 8)))
+    if command == "scan-q1":
+        k = str(draw(st.sampled_from([0, 1, 2])))
+        return [command, "--p", p, "--k", k, "--max-order", max_order]
+    return [command, "--max-order", max_order]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_fuzzed_argv(), cap=_FUZZ_CAP)
+@example(argv=["verify", "--theorem", "A", "--p", "3", "--e", "10000",
+               "C(9)"], cap=None)
+@example(argv=["verify", "--theorem", "Cor2.2", "--p", "2", "--e", "1000000",
+               "C(4)"], cap=None)
+@example(argv=["components", "--p", "3", "--e", "1000000", "C(9)"], cap=None)
+def test_exit_codes_under_fuzzed_arguments(argv, cap):
+    saved = os.environ.pop("CHARPOSET_ORDER_CAP", None)
+    if cap is not None:
+        os.environ["CHARPOSET_ORDER_CAP"] = cap
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code, text = _run(argv)
+    finally:
+        os.environ.pop("CHARPOSET_ORDER_CAP", None)
+        if saved is not None:
+            os.environ["CHARPOSET_ORDER_CAP"] = saved
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert re.search(r": FAIL$|fail: [1-9]", text, re.M), argv

@@ -2,9 +2,11 @@
 import gc
 import json
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
+import charposet.gamma
 from charposet.catalog import SEMIDIRECT_C4_C4, catalog_roster, realize
 from charposet.errors import (
     HypothesisNotSatisfied,
@@ -13,14 +15,12 @@ from charposet.errors import (
 )
 from charposet.gamma import (
     build_gamma_poset,
-    check_component_projection,
     gamma_poset,
     has_strongly_embedded_subgroup,
     s_node_images,
     s_poset,
     scan_nontrivial_I,
     strongly_embedded_check,
-    subgroup_reaches_all_components,
     verify,
     x_of_sylow,
 )
@@ -29,7 +29,9 @@ from util import (
     DIFFERENTIAL_GROUPS,
     brute_force_has_strongly_embedded,
     cached_group,
+    check_component_projection,
     conjugated_node_images,
+    subgroup_reaches_all_components,
 )
 
 
@@ -254,6 +256,26 @@ def test_scan_collects_errors_per_entry():
     results, errors = scan_nontrivial_I(["C(4)", "S(3)", "C("], 2, 2)
     assert dict(results) == {"C(4)": 4}
     assert len(errors) == 2
+
+
+def test_scan_reports_failed_cross_check_by_its_typed_name(monkeypatch):
+    wrong = SimpleNamespace(partition=SimpleNamespace(count=999))
+    monkeypatch.setattr(charposet.gamma, "gamma_poset",
+                        lambda G, p, e: wrong)
+    results, errors = scan_nontrivial_I(["C(4)"], 2, 2)
+    assert results == []
+    assert errors == [("C(4)", "CrossCheckFailed: |I| = 4 but Gamma(p,1) "
+                       "has 999 components")]
+
+
+def test_scan_does_not_report_programming_errors_as_bad_entries(monkeypatch):
+    def broken(G, p, k):
+        raise ZeroDivisionError("a bug, not a bad input")
+
+    monkeypatch.setattr(charposet.gamma, "common_intersection_of_order",
+                        broken)
+    with pytest.raises(ZeroDivisionError):
+        scan_nontrivial_I(["C(4)"], 2, 2)
 
 
 def test_derived_data_is_freed_with_its_table():

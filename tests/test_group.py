@@ -28,20 +28,20 @@ from charposet.group import (
     closure_members,
     closure_of_permutations,
     common_intersection_of_order,
-    conjugate_subgroup,
     direct_table_product,
     enumerate_p_subgroups,
     frattini_of_p_group,
     group_from_generators,
+    is_p_power,
     is_prime,
     make_subgroup,
     normalizer,
     omega1,
     order_cap,
+    p_valuation,
     prime_power,
     subgroup_closure,
     table_from_mul,
-    validate_group_table,
     whole_group_subgroup,
 )
 from util import (
@@ -49,10 +49,15 @@ from util import (
     brute_force_subgroups,
     cached_group,
     composition_closure,
+    conjugate_subgroup,
     conjugated_node_images,
     fixed_point_closure_members,
+    intersection_of_level,
     iterated_elem_orders,
+    levelled_p_subgroups,
     scanned_inverses,
+    scanned_p_lattice,
+    validate_group_table,
 )
 
 
@@ -226,6 +231,59 @@ def test_lattice_rejects_bad_parameters():
         enumerate_p_subgroups(G, 2, e=-1)
 
 
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_lattice_suffixes_match_pairwise_scan_oracle(text):
+    # S_{p,e} for every e up to the empty suffix past the Sylow order, and
+    # I and Phi read from the lattice, against the per-e enumeration with
+    # covers found by comparing every pair of nodes
+    G = cached_group(text)
+    for p in (2, 3):
+        if G.order % p:
+            continue
+        levels = levelled_p_subgroups(G, p)
+        n = p_valuation(G.order, p)
+        for e in range(n + 2):
+            lat = enumerate_p_subgroups(G, p, e)
+            old = scanned_p_lattice(G, p, e, levels)
+            assert [s.members for s in lat.nodes] == \
+                [s.members for s in old.nodes], (p, e)
+            assert lat.covers == old.covers, (p, e)
+            assert lat.sylow_ids == old.sylow_ids, (p, e)
+            assert lat.node_index == old.node_index, (p, e)
+        assert lat.nodes == () and lat.sylow_ids == ()
+        for k in range(1, n + 1):
+            assert common_intersection_of_order(G, p, k).members == \
+                intersection_of_level(levels, k), (p, k)
+        if is_p_power(G.order, p):
+            phi = frattini_of_p_group(whole_group_subgroup(G), p)
+            assert phi.members == (
+                intersection_of_level(levels, n - 1) if n > 1 else (0,))
+
+
+def test_one_lattice_build_per_group_and_prime(monkeypatch):
+    built = []
+    build = group_module._build_p_lattice
+    monkeypatch.setattr(group_module, "_build_p_lattice",
+                        lambda G, p: built.append(p) or build(G, p))
+    G = realize("D(4)")
+    s_poset(G, 2, 0)
+    s_poset(G, 2, 1)
+    common_intersection_of_order(G, 2, 2)
+    frattini_of_p_group(whole_group_subgroup(G), 2)
+    assert built == [2]
+
+
+def test_extension_step_finds_each_overgroup_once():
+    G = cached_group("S(4)")
+    lat = enumerate_p_subgroups(G, 2)
+    for i, H in enumerate(lat.nodes):
+        found = [m for m, _ in
+                 group_module._extend_p_subgroup(G, H.members, H.members, 2)]
+        assert len(found) == len(set(found))
+        assert sorted(lat.node_index[m] for m in found) == \
+            [j for a, j in lat.covers if a == i]
+
+
 def test_common_intersection_of_order():
     assert common_intersection_of_order(cached_group("C(8)"), 2, 2).order == 4
     assert common_intersection_of_order(cached_group("Q(8)"), 2, 2).order == 2
@@ -372,18 +430,13 @@ def test_coset_union_of_wrong_size_is_typed(monkeypatch):
     monkeypatch.setattr(group_module, "is_p_power", lambda n, p: True)
     monkeypatch.setattr(GroupTable, "power", lambda self, x, k: 0)
     with pytest.raises(LatticeConstructionFailed, match="coset union"):
-        _extend_p_subgroup(cached_group("C(2)"), (0,), 3)
+        _extend_p_subgroup(cached_group("C(2)"), (0,), (), 3)
 
 
 def test_missed_sylow_level_is_typed(monkeypatch):
-    levels = group_module._p_subgroup_levels
-
-    def without_top(G, p):
-        out = levels(G, p)
-        del out[max(out)]
-        return out
-
-    monkeypatch.setattr(group_module, "_p_subgroup_levels", without_top)
+    # no extension step finds anything: the lattice stops at order p
+    monkeypatch.setattr(group_module, "_extend_p_subgroup",
+                        lambda G, mem, gens, p: [])
     with pytest.raises(LatticeConstructionFailed, match="Sylow level"):
         enumerate_p_subgroups(realize("C(4)"), 2)
 

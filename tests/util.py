@@ -5,9 +5,16 @@ import itertools
 import numpy as np
 
 from charposet.catalog import catalog_roster, realize
-from charposet.errors import ClosureCapExceeded
+from charposet.errors import ClosureCapExceeded, NotASubgroup
 from charposet.gamma import strongly_embedded_check
-from charposet.group import all_subgroups, closure_members
+from charposet.group import (
+    PSubgroupLattice,
+    all_subgroups,
+    closure_members,
+    is_p_power,
+    make_subgroup,
+    normalizer,
+)
 
 # The catalog plus the largest groups the engine handles: the groups on
 # which the generator-based fast paths are checked against their oracles.
@@ -131,3 +138,126 @@ def conjugated_node_images(spos):
     return [tuple(lat.node_of_members(G.conj_set(sub.members, g))
                   for sub in lat.nodes)
             for g in range(G.order)]
+
+
+def _extensions_by_subgroup_tables(G, mem, p):
+    """Index-p overgroups of H: the coset union for every x in N_G(H) - H."""
+    H = make_subgroup(G, mem, check=False)
+    hset = H.member_set
+    out = set()
+    for x in normalizer(G, H).members:
+        if x in hset or not is_p_power(int(G.elem_order[x]), p):
+            continue
+        if G.power(x, p) not in hset:
+            continue
+        members = set(mem)
+        cur = np.array(mem, dtype=np.int32)
+        for _ in range(p - 1):
+            cur = G.mul[cur, x]
+            members.update(int(v) for v in cur)
+        assert len(members) == p * len(mem)
+        out.add(tuple(sorted(members)))
+    return out
+
+
+def levelled_p_subgroups(G, p):
+    """All p-subgroups of G by order exponent: {k: sorted member tuples}."""
+    level = sorted({
+        tuple(sorted({G.power(x, i) for i in range(p)}))
+        for x in range(G.order) if int(G.elem_order[x]) == p
+    })
+    levels = {}
+    k = 1
+    while level:
+        levels[k] = level
+        level = sorted(set().union(
+            *(_extensions_by_subgroup_tables(G, mem, p) for mem in level)))
+        k += 1
+    return levels
+
+
+def scanned_p_lattice(G, p, e, levels):
+    """S_{p,e} from levelled_p_subgroups, covers by comparing every pair."""
+    mems = [mem for k in sorted(levels) if p ** k > p ** e
+            for mem in levels[k]]
+    nodes = tuple(make_subgroup(G, mem, check=False) for mem in mems)
+    covers = [(i, j) for j, K in enumerate(nodes) for i, H in enumerate(nodes)
+              if H.order * p == K.order and H.member_set <= K.member_set]
+    full = p ** max(levels) if levels else None
+    return PSubgroupLattice(
+        group=G, p=p, e=e, nodes=nodes, covers=tuple(covers),
+        sylow_ids=tuple(i for i, s in enumerate(nodes) if s.order == full),
+        node_index={mem: i for i, mem in enumerate(mems)})
+
+
+def intersection_of_level(levels, k):
+    """Members of the intersection of all subgroups at order exponent k."""
+    return tuple(sorted(set.intersection(*(set(m) for m in levels[k]))))
+
+
+def validate_group_table(G, check_associativity=True):
+    """Exhaustive structural validation (associativity for n <= 256)."""
+    n = G.order
+    mul = G.mul
+    rng = np.arange(n)
+    assert all((np.sort(mul[x]) == rng).all() for x in range(n)), "not a Latin square (rows)"
+    assert all((np.sort(mul[:, x]) == rng).all() for x in range(n)), "not a Latin square (cols)"
+    assert (mul[0] == rng).all() and (mul[:, 0] == rng).all(), "identity broken"
+    assert all(mul[x, G.inv[x]] == 0 for x in range(n)), "inverses broken"
+    if check_associativity and n <= 256:
+        for z in range(n):
+            left = mul[:, z][mul]            # (x*y)*z
+            right = mul[:, mul[:, z]]        # x*(y*z)
+            assert (left == right).all(), "associativity fails"
+    for x in range(n):
+        k = int(G.elem_order[x])
+        assert G.power(x, k) == 0 and all(G.power(x, j) != 0 for j in range(1, k))
+        assert n % k == 0, "element order does not divide group order"
+    return True
+
+
+def conjugate_subgroup(G, H, g):
+    """H^g = {g^-1 h g : h in H}."""
+    if H.parent is not G:
+        raise NotASubgroup("subgroup belongs to a different parent group")
+    return make_subgroup(G, (int(x) for x in G.conj_set(H.members, g)),
+                         check=False)
+
+
+def check_component_projection(gamma):
+    """Validate the projection Gamma -> S, (H, phi) -> H, component-wise.
+
+    Checks that the preimage of each S-component is a union of whole Gamma
+    components, that the projection is surjective, hence |pi_0 Gamma| >=
+    |pi_0 S|, and that the Gamma components partition into the per-S-component
+    families. Returns (|pi_0 Gamma|, |pi_0 S|).
+    """
+    sp = gamma.s.partition
+    gp = gamma.partition
+    comp_target = {}
+    for n, node in enumerate(gamma.nodes):
+        c = gp.component_of[n]
+        t = sp.component_of[node.subgroup_id]
+        if comp_target.setdefault(c, t) != t:
+            raise AssertionError(
+                "a Gamma component projects onto two S components")
+    if set(comp_target.values()) != set(range(sp.count)):
+        raise AssertionError("projection is not surjective on components")
+    if gp.count < sp.count:
+        raise AssertionError("surjective poset map increased components")
+    per_target = {}
+    for c, t in comp_target.items():
+        per_target[t] = per_target.get(t, 0) + 1
+    if sum(per_target.values()) != gp.count:
+        raise AssertionError("component families do not partition pi_0 Gamma")
+    return gp.count, sp.count
+
+
+def subgroup_reaches_all_components(gamma, subgroup_id):
+    """Whether every Gamma component contains a node over this subgroup."""
+    reached = {
+        gamma.partition.component_of[n]
+        for n, node in enumerate(gamma.nodes)
+        if node.subgroup_id == subgroup_id
+    }
+    return len(reached) == gamma.partition.count
