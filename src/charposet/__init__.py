@@ -2,7 +2,8 @@
 
 Builds small finite groups as explicit multiplication tables, computes
 exact complex character tables via modular arithmetic (homomorphisms into
-GF(q)^* for abelian groups, Dixon's method otherwise),
+GF(q)^* for abelian groups, Clifford theory along the p-subgroup lattice
+for non-abelian p-groups, Dixon's method otherwise),
 assembles the p-subgroup poset S(p, e) and its character augmentation
 Gamma(p, e), and verifies the connectivity theorems on a built-in catalog.
 """

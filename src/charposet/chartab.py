@@ -3,12 +3,17 @@
 The modulus satisfies q = 1 (mod exp(G)) and q > |G|^2, so GF(q) contains
 every needed root of unity and all integer quantities compared by the rest
 of the artifact (degrees, multiplicities, induction coefficients) are
-recovered exactly from their residues. No decision path ever lifts values
-to floating point; `complex_character_values` is display-only.
+recovered exactly from their residues. Values are never lifted to floating
+point.
+
+Irr(G) is made in one of three ways, all ending in the same validation:
+abelian groups as Hom(G, GF(q)^*) (`abelian_rows`), non-abelian p-groups
+from the tables of their maximal subgroups by Clifford theory
+(`clifford_rows`, fed by `CharContext`), and every other group by Dixon's
+eigenvector splitting (`dixon_rows`).
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from math import isqrt
 
@@ -17,13 +22,19 @@ import numpy as np
 from .errors import (
     ContextMismatch,
     ModulusSearchFailed,
-    NotADirectProduct,
     NotASemidirectDecomposition,
     NotASubgroup,
     PreconditionViolated,
     TableConstructionFailed,
 )
-from .group import GroupTable, Subgroup, is_prime, whole_group_subgroup
+from .group import (
+    GroupTable,
+    Subgroup,
+    is_prime,
+    p_lattice,
+    prime_power,
+    whole_group_subgroup,
+)
 from .modlinalg import charpoly, inv_mod, nullspace, roots_in_field, solve_right
 
 
@@ -210,10 +221,7 @@ def abelian_rows(G, q):
     omega^logs.
     """
     n, e = G.order, G.exponent()
-    if (q - 1) % e:
-        raise TableConstructionFailed(
-            f"q = {q} is not 1 mod exp(G) = {e}")
-    omega = pow(_primitive_root(q), (q - 1) // e, q)
+    omega = _roots_of_unity(q, e)
     logs = np.zeros((1, n), dtype=np.int64)    # logs[c, x] = log chi_c(x), x in H
     inside = np.zeros(n, dtype=bool)
     inside[0] = True
@@ -240,39 +248,112 @@ def abelian_rows(G, q):
         logs[:, coset_elems] = vals.reshape(s.size, -1)
         inside[coset_elems] = True
         H = coset_elems
-    omega_pows = np.array([pow(omega, i, q) for i in range(e)], dtype=np.int64)
-    return [(1, tuple(row)) for row in omega_pows[logs].tolist()]
+    return [(1, tuple(row)) for row in omega[logs].tolist()]
+
+
+def clifford_rows(G, cls, q, p, covers):
+    """Irr(G) of a non-abelian p-group G from the tables of maximal subgroups.
+
+    `covers` yields (members, table) pairs: the elements of a maximal
+    subgroup L as indices of G, ascending, and Irr(L) mod q. L is normal of
+    index p, so G = L<y> for y the least element outside L.
+    - Linear: each linear chi restricts to a G-invariant linear psi of the
+      first L, and each such psi extends in p ways, chi(m y^j) =
+      psi(m) mu^j with mu^p = psi(y^p), on exponents of omega of order
+      exp(G) as in `abelian_rows`.
+    - Non-linear: a theta in Irr(L) that y moves induces irreducibly
+      (Clifford), theta^G(g) = sum_j theta(y^-j g y^j) on L and 0 off it.
+      G is an M-group, so each non-linear chi is lambda^G for a linear
+      lambda below some L, and theta = lambda^L is such a moved theta.
+    Covers are read until the degree squares sum to |G|.
+    """
+    n, e = G.order, G.exponent()
+    omega = _roots_of_unity(q, e)
+    by_residue = np.argsort(omega)
+    reps = np.array(cls.reps, dtype=np.int64)
+    found = {}                                 # values -> degree
+    total = 0
+    for k, (mem, tL) in enumerate(covers):
+        mem = np.asarray(mem)
+        local = np.full(n, -1, dtype=np.int64)
+        local[mem] = np.arange(len(mem))
+        y = int(np.argmin(local >= 0))
+        ys = [0]
+        for _ in range(p - 1):
+            ys.append(int(G.mul[ys[-1], y]))
+        ys = np.array(ys)                      # y^0, ..., y^(p-1)
+        lcls = tL.classes
+        V = tL.values_matrix()
+        degrees = np.array([c.degree for c in tL.chars])
+        sigma = lcls.class_of[local[G.conj_set(mem[list(lcls.reps)], y)]]
+        fixed = (V[:, sigma] == V).all(axis=1)
+        if k == 0:
+            lin = V[fixed & (degrees == 1)]
+            logs = by_residue[np.searchsorted(omega, lin, sorter=by_residue)
+                              .clip(max=e - 1)]
+            if (omega[logs] != lin).any():
+                raise TableConstructionFailed(
+                    "a linear character value is not a power of omega")
+            a = logs[:, lcls.class_of[local[G.mul[ys[-1], y]]]]   # psi(y^p)
+            if (a % p).any():
+                raise TableConstructionFailed(
+                    "an invariant linear character does not extend")
+            mu = (a // p)[:, None] + np.arange(p) * (e // p)
+            # each class rep r is m y^j with m = r y^-j in L
+            cand = G.mul[reps[:, None], G.inv[ys]]
+            j = np.argmax(local[cand] >= 0, axis=1)
+            m = cand[np.arange(reps.size), j]
+            ext = (logs[:, None, lcls.class_of[local[m]]]
+                   + mu[:, :, None] * j) % e
+            found.update((tuple(row), 1) for row
+                         in omega[ext].reshape(-1, reps.size).tolist())
+            total += ext.shape[0] * p
+        moved = ~fixed
+        inside = local[reps] >= 0
+        conj = G.mul[G.mul[G.inv[ys], reps[inside, None]], ys]
+        induced = V[moved][:, lcls.class_of[local[conj]]].sum(axis=2) % q
+        vals = np.zeros((induced.shape[0], reps.size), dtype=np.int64)
+        vals[:, inside] = induced
+        for d, row in zip((p * degrees[moved]).tolist(), vals.tolist()):
+            row = tuple(row)
+            if row not in found:
+                found[row] = d
+                total += d * d
+        if total == n:
+            break
+    return [(d, vals) for vals, d in found.items()]
+
+
+def _validated_table(G, cls, q, rows):
+    """The CharTable of rows, sorted, after the checks all three paths share."""
+    n = G.order
+    if len(rows) != cls.count:
+        raise TableConstructionFailed("wrong number of characters")
+    if sum(d * d for d, _ in rows) != n:
+        raise TableConstructionFailed("degree squares do not sum to |G|")
+    if any(n % d for d, _ in rows):
+        raise TableConstructionFailed("character degree does not divide |G|")
+    chars = tuple(Character(degree=d, values=vals, id=i)
+                  for i, (d, vals) in enumerate(sorted(rows)))
+    table = CharTable(group=G, classes=cls, q=q, chars=chars)
+    if not check_row_orthogonality(table):
+        raise TableConstructionFailed("row orthogonality failed")
+    return table
 
 
 def irr_table(G, q=None):
     """Full irreducible character table of G as residues mod q.
 
     An abelian G takes Hom(G, GF(q)^*) directly (`abelian_rows`); any other
-    group is split by Dixon's method (`dixon_rows`). Both paths give the
-    same rows and pass the same validation.
+    group is split by Dixon's method (`dixon_rows`), which serves as the
+    oracle for `clifford_rows` on p-groups.
     """
     cls = conjugacy_classes(G)
-    n = G.order
-    m = cls.count
     if q is None:
         q = dixon_modulus(G)
-    _require_int64_headroom(n, q)
+    _require_int64_headroom(G.order, q)
     rows = abelian_rows(G, q) if G.is_abelian() else dixon_rows(G, cls, q)
-    if len(rows) != m:
-        raise TableConstructionFailed("wrong number of characters")
-    if sum(d * d for d, _ in rows) != n:
-        raise TableConstructionFailed("degree squares do not sum to |G|")
-    for d, _ in rows:
-        if n % d != 0:
-            raise TableConstructionFailed(
-                "character degree does not divide |G|")
-    rows.sort()
-    chars = tuple(Character(degree=d, values=vals, id=i)
-                  for i, (d, vals) in enumerate(rows))
-    table = CharTable(group=G, classes=cls, q=q, chars=chars)
-    if not check_row_orthogonality(table):
-        raise TableConstructionFailed("row orthogonality failed")
-    return table
+    return _validated_table(G, cls, q, rows)
 
 
 def inner_product(table, a, b):
@@ -297,34 +378,16 @@ def check_row_orthogonality(table):
     return np.array_equal(gram, np.eye(table.count, dtype=np.int64))
 
 
-def check_column_orthogonality(table):
-    q = table.q
-    V = table.values_matrix() % q
-    cls = table.classes
-    n = table.group.order
-    for j in range(cls.count):
-        for k in range(cls.count):
-            s = int((V[:, j] * V[:, cls.inverse_class[k]] % q).sum() % q)
-            expected = n * inv_mod(int(cls.sizes[j]), q) % q if j == k else 0
-            if s != expected:
-                return False
-    return True
-
-
-def regular_character(table):
-    """Class-function vector of the regular character."""
-    vals = np.zeros(table.classes.count, dtype=np.int64)
-    vals[0] = table.group.order
-    return vals
-
-
 class CharContext:
     """Shared-modulus character tables for one parent group and its subgroups.
 
-    Tables are cached by canonical member list, so conjugate subgroups are
-    recomputed rather than shared (restriction stays embedding-exact). The
-    cache follows a single-writer/multi-reader contract; tables themselves
-    are immutable.
+    Tables are cached by member tuple, and the whole group's under None
+    however it is asked for. Conjugate subgroups are recomputed rather than
+    shared, so restriction stays embedding-exact. A non-abelian p-subgroup
+    is built by `clifford_rows` from the cached tables of its lower covers
+    in the parent's S_{p,0} lattice; any other subgroup goes through
+    `irr_table`. The cache follows a single-writer/multi-reader contract;
+    tables themselves are immutable.
     """
 
     def __init__(self, G, q=None):
@@ -335,19 +398,32 @@ class CharContext:
 
     def table(self, S=None):
         """CharTable of the subgroup S (or of the whole group if S is None)."""
-        if S is None:
-            key = None
-            build = lambda: irr_table(self.group, q=self.q)
-        else:
-            if S.parent is not self.group:
-                raise ContextMismatch("subgroup belongs to a different group")
-            key = S.members
-            build = lambda: irr_table(S.local, q=self.q)
+        G = self.group
+        if S is not None and S.parent is not G:
+            raise ContextMismatch("subgroup belongs to a different group")
+        key = None if S is None or S.order == G.order else S.members
         tab = self._tables.get(key)
         if tab is None:
-            tab = build()
+            if key is None:
+                tab = self._build(G, tuple(range(G.order)))
+            else:
+                tab = self._build(S.local, key)
             self._tables[key] = tab
         return tab
+
+    def _build(self, T, members):
+        """Irr of the subgroup with these members, whose own table is T."""
+        pk = prime_power(T.order)
+        if pk is None or T.is_abelian():
+            return irr_table(T, q=self.q)
+        lat = p_lattice(self.group, pk[0])
+        marr = np.array(members, dtype=np.int64)
+        covers = ((np.searchsorted(marr, lat.nodes[i].members),
+                   self.table(lat.nodes[i]))
+                  for i in lat.lower[lat.node_index[members]])
+        cls = conjugacy_classes(T)
+        return _validated_table(
+            T, cls, self.q, clifford_rows(T, cls, self.q, pk[0], covers))
 
     def whole(self):
         return whole_group_subgroup(self.group)
@@ -421,67 +497,6 @@ def induce(ctx, H, theta):
 
 
 @dataclass(frozen=True, eq=False)
-class DirectProductStructure:
-    """Validated internal direct product G = A x B with factor maps."""
-
-    group: GroupTable
-    a: Subgroup
-    b: Subgroup
-    a_of: np.ndarray
-    b_of: np.ndarray
-
-
-def validate_direct_product(G, A, B):
-    if A.parent is not G or B.parent is not G:
-        raise NotADirectProduct("factors belong to a different group")
-    if A.order * B.order != G.order:
-        raise NotADirectProduct("|A||B| != |G|")
-    if A.member_set & B.member_set != {0}:
-        raise NotADirectProduct("factors intersect nontrivially")
-    amarr = np.array(A.members, dtype=np.int32)
-    bmarr = np.array(B.members, dtype=np.int32)
-    if not (G.mul[np.ix_(amarr, bmarr)] == G.mul[np.ix_(bmarr, amarr)].T).all():
-        raise NotADirectProduct("factors do not commute elementwise")
-    a_of = np.full(G.order, -1, dtype=np.int32)
-    b_of = np.full(G.order, -1, dtype=np.int32)
-    prods = G.mul[np.ix_(amarr, bmarr)]
-    for i, a in enumerate(A.members):
-        for j, b in enumerate(B.members):
-            g = int(prods[i, j])
-            if a_of[g] >= 0:
-                raise NotADirectProduct("factorization is not unique")
-            a_of[g] = a
-            b_of[g] = b
-    if (a_of < 0).any():
-        raise NotADirectProduct("AB != G")
-    return DirectProductStructure(group=G, a=A, b=B, a_of=a_of, b_of=b_of)
-
-
-def direct_product_char(ctx, dp, phi, psi):
-    """(phi x psi)(ab) = phi(a) psi(b), returned as a row of Irr(G)."""
-    if dp.group is not ctx.group:
-        raise ContextMismatch("direct product structure for a different group")
-    q = ctx.q
-    tG = ctx.table(None)
-    tA = ctx.table(dp.a)
-    tB = ctx.table(dp.b)
-    phi_vals = np.asarray(phi.values, dtype=np.int64)
-    psi_vals = np.asarray(psi.values, dtype=np.int64)
-    vals = []
-    for g in tG.classes.reps:
-        a = int(dp.a_of[g])
-        b = int(dp.b_of[g])
-        va = phi_vals[tA.classes.class_of[dp.a.index_of[a]]]
-        vb = psi_vals[tB.classes.class_of[dp.b.index_of[b]]]
-        vals.append(int(va * vb % q))
-    vals = tuple(vals)
-    for chi in tG.chars:
-        if chi.values == vals:
-            return chi
-    raise AssertionError("product character is not a table row")
-
-
-@dataclass(frozen=True, eq=False)
 class SemidirectStructure:
     """Validated G = H K with H normal, K a complement; k_of factors g = h k."""
 
@@ -514,22 +529,12 @@ def validate_semidirect(G, H, K):
     return SemidirectStructure(group=G, h=H, k=K, k_of=k_of)
 
 
-def lift_through_complement(ctx, sd, phi):
-    """Lift of phi in Irr(K) to G along g = hk -> phi(k)."""
-    if sd.group is not ctx.group:
-        raise ContextMismatch("semidirect structure for a different group")
-    tG = ctx.table(None)
-    tK = ctx.table(sd.k)
-    phi_vals = np.asarray(phi.values, dtype=np.int64)
-    vals = []
-    for g in tG.classes.reps:
-        k = int(sd.k_of[g])
-        vals.append(int(phi_vals[tK.classes.class_of[sd.k.index_of[k]]]))
-    vals = tuple(vals)
-    for chi in tG.chars:
-        if chi.values == vals:
-            return chi
-    raise AssertionError("lift is not a table row; character not constant on classes?")
+def _roots_of_unity(q, e):
+    """omega^i for 0 <= i < e, for a fixed omega of order e in GF(q)^*."""
+    if (q - 1) % e:
+        raise TableConstructionFailed(f"q = {q} is not 1 mod exp(G) = {e}")
+    omega = pow(_primitive_root(q), (q - 1) // e, q)
+    return np.array([pow(omega, i, q) for i in range(e)], dtype=np.int64)
 
 
 def _primitive_root(q):
@@ -548,27 +553,3 @@ def _primitive_root(q):
         if all(pow(r, (q - 1) // f, q) != 1 for f in factors):
             return r
     raise TableConstructionFailed(f"no primitive root mod {q}")
-
-
-def complex_character_values(table):
-    """Approximate complex values, for display only (never used in logic)."""
-    G = table.group
-    q = table.q
-    root = _primitive_root(q)
-    out = []
-    for chi in table.chars:
-        row = []
-        for j, rep in enumerate(table.classes.reps):
-            e = int(G.elem_order[rep])
-            z = pow(root, (q - 1) // e, q)
-            # chi on the powers of rep
-            powers = [table.classes.class_of[G.power(rep, s)] for s in range(e)]
-            inv_e = inv_mod(e, q)
-            val = 0.0 + 0.0j
-            for t in range(e):
-                c = sum(chi.values[powers[s]] * pow(z, (-s * t) % (q - 1), q)
-                        for s in range(e)) % q * inv_e % q
-                val += c * cmath.exp(2j * cmath.pi * t / e)
-            row.append(val)
-        out.append(row)
-    return out

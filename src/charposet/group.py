@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
 from math import isqrt, lcm
 
@@ -446,6 +447,14 @@ class PSubgroupLattice:
     def nodes_of_order(self, order):
         return tuple(i for i, s in enumerate(self.nodes) if s.order == order)
 
+    @cached_property
+    def lower(self):
+        """lower[j] = ids of the nodes that node j covers, ascending."""
+        below = [[] for _ in self.nodes]
+        for i, j in self.covers:
+            below[j].append(i)
+        return tuple(tuple(sorted(b)) for b in below)
+
 
 def _build_p_lattice(G, p):
     """S_{p,0}(G) by levels of order p, p^2, ...; each level extends the last.
@@ -486,6 +495,11 @@ def _build_p_lattice(G, p):
         node_index=node_index)
 
 
+def p_lattice(G, p):
+    """S_{p,0}(G) for a prime p, built once per (G, p) and cached on G."""
+    return G.memo(("p_lattice", p), lambda: _build_p_lattice(G, p))
+
+
 def enumerate_p_subgroups(G, p, e=0):
     """S_{p,e}(G): the nodes of order > p^e of the cached S_{p,0}(G).
 
@@ -497,7 +511,7 @@ def enumerate_p_subgroups(G, p, e=0):
         raise PreconditionViolated(f"p = {p} is not prime")
     if e < 0:
         raise PreconditionViolated("e must be >= 0")
-    lat = G.memo(("p_lattice", p), lambda: _build_p_lattice(G, p))
+    lat = p_lattice(G, p)
     if e == 0:
         return lat
     start = bisect_right(lat.nodes, e,
@@ -540,8 +554,7 @@ def frattini_of_p_group(P, p):
         j = lat.node_index.get(P.members)
         if j is None:
             raise LatticeConstructionFailed("P is not a node of G's lattice")
-        by_maximals = _intersection(
-            [lat.nodes[i] for i, k in lat.covers if k == j])
+        by_maximals = _intersection([lat.nodes[i] for i in lat.lower[j]])
     if by_powers != by_maximals:
         raise LatticeConstructionFailed("Frattini computations disagree")
     return make_subgroup(G, by_powers, check=False)

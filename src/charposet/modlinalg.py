@@ -187,8 +187,14 @@ def charpoly(A, q):
 def _split_roots(f, q, out):
     """Collect roots of a squarefree monic f that splits into linears mod q.
 
-    Splits with gcd((x+a)^((q-1)/2) - 1, f) for a = 0, 1, 2, ...; the sweep
-    is deterministic, so runs are reproducible.
+    Splits with g = gcd((x+a)^((q-1)/2) - 1, f) for a = 0, 1, 2, ...; the
+    sweep is deterministic, so runs are reproducible. g holds the roots r
+    with r + a a nonzero square, so a splits f once it separates two roots
+    r != s. For odd q, at most (q+1)/2 values of a fail to separate them:
+    sum_a chi((a+r)(a+s)) = -1 for the quadratic character chi, so of the
+    q - 2 values with r + a and s + a both nonzero, (q-3)/2 give equal
+    characters, and the only other failures can be a = -r and a = -s. So
+    one of the first (q+3)/2 values splits f, and the sweep stops there.
     """
     deg = len(f) - 1
     if deg == 0:
@@ -196,19 +202,16 @@ def _split_roots(f, q, out):
     if deg == 1:
         out.append((-f[0]) % q)
         return
-    a = 0
-    while True:
-        h = poly_pow_mod([a % q, 1], (q - 1) // 2, f, q)
+    for a in range((q + 3) // 2):
+        h = poly_pow_mod([a, 1], (q - 1) // 2, f, q)
         h = poly_add(h, [q - 1], q)
         g = poly_gcd(h, f, q)
         if 0 < len(g) - 1 < deg:
             _split_roots(g, q, out)
             _split_roots(poly_divmod(f, g, q)[0], q, out)
             return
-        a += 1
-        if a > q:
-            raise TableConstructionFailed(
-                "root splitting failed; roots not in GF(q)?")
+    raise TableConstructionFailed(
+        "root splitting failed within (q+3)/2 tries; roots not in GF(q)?")
 
 
 def roots_in_field(f, q):

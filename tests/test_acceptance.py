@@ -7,7 +7,6 @@ pytest's output capture. All quantities are exact integers.
 from charposet.catalog import SEMIDIRECT_C4_C4, catalog_roster
 from charposet.chartab import (
     CharContext,
-    check_column_orthogonality,
     check_row_orthogonality,
     decompose_restriction,
     induce,
@@ -33,6 +32,7 @@ from charposet.group import (
 from util import (
     brute_force_subgroups,
     cached_group,
+    check_column_orthogonality,
     check_component_projection,
 )
 

@@ -1,5 +1,6 @@
 """Exact modular character tables: construction, orthogonality, functoriality."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -12,22 +13,16 @@ from charposet.chartab import (
     CharContext,
     Character,
     abelian_rows,
-    check_column_orthogonality,
     check_row_orthogonality,
     classes_by_conjugation,
-    complex_character_values,
     conjugacy_classes,
     decompose_restriction,
-    direct_product_char,
     dixon_modulus,
     dixon_rows,
     induce,
     inner_product,
     irr_table,
-    lift_through_complement,
-    regular_character,
     restrict_values,
-    validate_direct_product,
     validate_semidirect,
 )
 from charposet.errors import (
@@ -43,7 +38,15 @@ from charposet.group import (
     subgroup_closure,
 )
 from charposet.modlinalg import roots_in_field
-from util import cached_group
+from util import (
+    cached_group,
+    check_column_orthogonality,
+    complex_character_values,
+    direct_product_char,
+    lift_through_complement,
+    regular_character,
+    validate_direct_product,
+)
 
 
 def _ctx(text):
@@ -398,3 +401,20 @@ def test_charpoly_interpolation_check_is_typed(monkeypatch):
     monkeypatch.setattr(modlinalg, "poly_divmod", lambda f, g, q: ([0], [1]))
     with pytest.raises(TableConstructionFailed, match="interpolation"):
         modlinalg.charpoly(np.eye(2, dtype=np.int64), 7)
+
+
+def test_root_splitting_stops_at_its_proved_bound(monkeypatch):
+    q, n = 7, 3                               # 3 is not a square mod 7
+    tries = []
+    pow_mod = modlinalg.poly_pow_mod
+    monkeypatch.setattr(modlinalg, "poly_pow_mod",
+                        lambda *args: tries.append(args) or pow_mod(*args))
+    with pytest.raises(TableConstructionFailed, match="root splitting"):
+        roots_in_field([q - n, 0, 1], q)      # x^2 - 3 is irreducible
+    assert len(tries) == (q + 3) // 2
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_root_splitting_separates_every_pair_within_the_bound(q):
+    for r, s in itertools.combinations(range(q), 2):
+        assert roots_in_field([r * s % q, -(r + s) % q, 1], q) == [r, s]

@@ -1,20 +1,31 @@
 """Shared test helpers: cached group realization and brute-force oracles."""
+import cmath
 import functools
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from charposet.catalog import catalog_roster, realize
-from charposet.errors import ClosureCapExceeded, NotASubgroup
+from charposet.chartab import _primitive_root
+from charposet.errors import (
+    ClosureCapExceeded,
+    ContextMismatch,
+    NotADirectProduct,
+    NotASubgroup,
+)
 from charposet.gamma import strongly_embedded_check
 from charposet.group import (
+    GroupTable,
     PSubgroupLattice,
+    Subgroup,
     all_subgroups,
     closure_members,
     is_p_power,
     make_subgroup,
     normalizer,
 )
+from charposet.modlinalg import inv_mod
 
 # The catalog plus the largest groups the engine handles: the groups on
 # which the generator-based fast paths are checked against their oracles.
@@ -261,3 +272,129 @@ def subgroup_reaches_all_components(gamma, subgroup_id):
         if node.subgroup_id == subgroup_id
     }
     return len(reached) == gamma.partition.count
+
+
+# --- character constructions checked against the tables ----------------
+
+def check_column_orthogonality(table):
+    q = table.q
+    V = table.values_matrix() % q
+    cls = table.classes
+    n = table.group.order
+    for j in range(cls.count):
+        for k in range(cls.count):
+            s = int((V[:, j] * V[:, cls.inverse_class[k]] % q).sum() % q)
+            expected = n * inv_mod(int(cls.sizes[j]), q) % q if j == k else 0
+            if s != expected:
+                return False
+    return True
+
+
+def regular_character(table):
+    """Class-function vector of the regular character."""
+    vals = np.zeros(table.classes.count, dtype=np.int64)
+    vals[0] = table.group.order
+    return vals
+
+
+@dataclass(frozen=True, eq=False)
+class DirectProductStructure:
+    """Validated internal direct product G = A x B with factor maps."""
+
+    group: GroupTable
+    a: Subgroup
+    b: Subgroup
+    a_of: np.ndarray
+    b_of: np.ndarray
+
+
+def validate_direct_product(G, A, B):
+    if A.parent is not G or B.parent is not G:
+        raise NotADirectProduct("factors belong to a different group")
+    if A.order * B.order != G.order:
+        raise NotADirectProduct("|A||B| != |G|")
+    if A.member_set & B.member_set != {0}:
+        raise NotADirectProduct("factors intersect nontrivially")
+    amarr = np.array(A.members, dtype=np.int32)
+    bmarr = np.array(B.members, dtype=np.int32)
+    if not (G.mul[np.ix_(amarr, bmarr)] == G.mul[np.ix_(bmarr, amarr)].T).all():
+        raise NotADirectProduct("factors do not commute elementwise")
+    a_of = np.full(G.order, -1, dtype=np.int32)
+    b_of = np.full(G.order, -1, dtype=np.int32)
+    prods = G.mul[np.ix_(amarr, bmarr)]
+    for i, a in enumerate(A.members):
+        for j, b in enumerate(B.members):
+            g = int(prods[i, j])
+            if a_of[g] >= 0:
+                raise NotADirectProduct("factorization is not unique")
+            a_of[g] = a
+            b_of[g] = b
+    if (a_of < 0).any():
+        raise NotADirectProduct("AB != G")
+    return DirectProductStructure(group=G, a=A, b=B, a_of=a_of, b_of=b_of)
+
+
+def direct_product_char(ctx, dp, phi, psi):
+    """(phi x psi)(ab) = phi(a) psi(b), returned as a row of Irr(G)."""
+    if dp.group is not ctx.group:
+        raise ContextMismatch("direct product structure for a different group")
+    q = ctx.q
+    tG = ctx.table(None)
+    tA = ctx.table(dp.a)
+    tB = ctx.table(dp.b)
+    phi_vals = np.asarray(phi.values, dtype=np.int64)
+    psi_vals = np.asarray(psi.values, dtype=np.int64)
+    vals = []
+    for g in tG.classes.reps:
+        a = int(dp.a_of[g])
+        b = int(dp.b_of[g])
+        va = phi_vals[tA.classes.class_of[dp.a.index_of[a]]]
+        vb = psi_vals[tB.classes.class_of[dp.b.index_of[b]]]
+        vals.append(int(va * vb % q))
+    vals = tuple(vals)
+    for chi in tG.chars:
+        if chi.values == vals:
+            return chi
+    raise AssertionError("product character is not a table row")
+
+
+def lift_through_complement(ctx, sd, phi):
+    """Lift of phi in Irr(K) to G along g = hk -> phi(k)."""
+    if sd.group is not ctx.group:
+        raise ContextMismatch("semidirect structure for a different group")
+    tG = ctx.table(None)
+    tK = ctx.table(sd.k)
+    phi_vals = np.asarray(phi.values, dtype=np.int64)
+    vals = []
+    for g in tG.classes.reps:
+        k = int(sd.k_of[g])
+        vals.append(int(phi_vals[tK.classes.class_of[sd.k.index_of[k]]]))
+    vals = tuple(vals)
+    for chi in tG.chars:
+        if chi.values == vals:
+            return chi
+    raise AssertionError("lift is not a table row; character not constant on classes?")
+
+
+def complex_character_values(table):
+    """Approximate complex values, for display only (never used in logic)."""
+    G = table.group
+    q = table.q
+    root = _primitive_root(q)
+    out = []
+    for chi in table.chars:
+        row = []
+        for j, rep in enumerate(table.classes.reps):
+            e = int(G.elem_order[rep])
+            z = pow(root, (q - 1) // e, q)
+            # chi on the powers of rep
+            powers = [table.classes.class_of[G.power(rep, s)] for s in range(e)]
+            inv_e = inv_mod(e, q)
+            val = 0.0 + 0.0j
+            for t in range(e):
+                c = sum(chi.values[powers[s]] * pow(z, (-s * t) % (q - 1), q)
+                        for s in range(e)) % q * inv_e % q
+                val += c * cmath.exp(2j * cmath.pi * t / e)
+            row.append(val)
+        out.append(row)
+    return out
