@@ -57,19 +57,21 @@ class ConjugacyData:
         return len(self.reps)
 
 
+def _class_data(G, class_of, reps, sizes, inverse_class):
+    """ConjugacyData over read-only arrays."""
+    for a in (class_of, sizes, inverse_class):
+        a.setflags(write=False)
+    return ConjugacyData(group=G, class_of=class_of, reps=tuple(reps),
+                         sizes=sizes, inverse_class=inverse_class)
+
+
 def conjugacy_classes(G):
     """Classes of G: each element alone when G is abelian, else by orbits."""
     if not G.is_abelian():
         return classes_by_conjugation(G)
     n = G.order
-    class_of = np.arange(n, dtype=np.int32)
-    sizes = np.ones(n, dtype=np.int64)
-    inverse_class = G.inv.astype(np.int32)
-    class_of.setflags(write=False)
-    sizes.setflags(write=False)
-    inverse_class.setflags(write=False)
-    return ConjugacyData(group=G, class_of=class_of, reps=tuple(range(n)),
-                         sizes=sizes, inverse_class=inverse_class)
+    return _class_data(G, np.arange(n, dtype=np.int32), range(n),
+                       np.ones(n, dtype=np.int64), G.inv.astype(np.int32))
 
 
 def classes_by_conjugation(G):
@@ -87,11 +89,7 @@ def classes_by_conjugation(G):
         reps.append(x)
     sizes = np.bincount(class_of, minlength=len(reps)).astype(np.int64)
     inverse_class = np.array([class_of[G.inv[r]] for r in reps], dtype=np.int32)
-    class_of.setflags(write=False)
-    sizes.setflags(write=False)
-    inverse_class.setflags(write=False)
-    return ConjugacyData(group=G, class_of=class_of, reps=tuple(reps),
-                         sizes=sizes, inverse_class=inverse_class)
+    return _class_data(G, class_of, reps, sizes, inverse_class)
 
 
 def dixon_modulus(G, search_limit=10**7):
@@ -341,6 +339,30 @@ def _validated_table(G, cls, q, rows):
     return table
 
 
+def conjugated_table(G, tR, rmembers, g, T, members):
+    """Irr(S) for S = R^g in G, relabelled from tR = Irr(R); T is S's table.
+
+    R-local t goes to the S-local index of g^-1 R[t] g. S's classes are
+    renumbered by their least element, as `ConjugacyData` requires, and the
+    class sizes and value columns follow.
+    """
+    marr = np.asarray(members)
+    img = G.conj_set(rmembers, g)
+    perm = np.searchsorted(marr, img).clip(max=marr.size - 1)
+    if (marr[perm] != img).any():
+        raise TableConstructionFailed("the subgroups are not conjugate by g")
+    old = tR.classes.class_of[np.argsort(perm)]    # S-local -> R's class
+    first = np.unique(old, return_index=True)[1]
+    order = np.argsort(first)                  # new class k is old class order[k]
+    class_of = np.argsort(order).astype(np.int32)[old]
+    reps = first[order]
+    cls = _class_data(T, class_of, reps.tolist(), tR.classes.sizes[order],
+                      class_of[T.inv[reps]])
+    V = tR.values_matrix()[:, order].tolist()
+    rows = [(c.degree, tuple(v)) for c, v in zip(tR.chars, V)]
+    return _validated_table(T, cls, tR.q, rows)
+
+
 def irr_table(G, q=None):
     """Full irreducible character table of G as residues mod q.
 
@@ -382,10 +404,12 @@ class CharContext:
     """Shared-modulus character tables for one parent group and its subgroups.
 
     Tables are cached by member tuple, and the whole group's under None
-    however it is asked for. Conjugate subgroups are recomputed rather than
-    shared, so restriction stays embedding-exact. A non-abelian p-subgroup
-    is built by `clifford_rows` from the cached tables of its lower covers
-    in the parent's S_{p,0} lattice; any other subgroup goes through
+    however it is asked for. A proper p-subgroup S is a node of the parent's
+    S_{p,0} lattice: unless S represents its conjugacy class there, its
+    table is the representative's relabelled along the conjugation
+    (`conjugated_table`). A non-abelian representative, or a non-abelian
+    p-group G itself, is built by `clifford_rows` from the cached tables of
+    its lower covers in the lattice; any other group goes through
     `irr_table`. The cache follows a single-writer/multi-reader contract;
     tables themselves are immutable.
     """
@@ -414,13 +438,21 @@ class CharContext:
     def _build(self, T, members):
         """Irr of the subgroup with these members, whose own table is T."""
         pk = prime_power(T.order)
-        if pk is None or T.is_abelian():
+        if pk is None or (T.order == self.group.order and T.is_abelian()):
             return irr_table(T, q=self.q)
         lat = p_lattice(self.group, pk[0])
+        i = lat.node_index[members]
+        r, g = lat.conjugates[i]
+        if r != i:
+            R = lat.nodes[r]
+            return conjugated_table(self.group, self.table(R), R.members,
+                                    g, T, members)
+        if T.is_abelian():
+            return irr_table(T, q=self.q)
         marr = np.array(members, dtype=np.int64)
-        covers = ((np.searchsorted(marr, lat.nodes[i].members),
-                   self.table(lat.nodes[i]))
-                  for i in lat.lower[lat.node_index[members]])
+        covers = ((np.searchsorted(marr, lat.nodes[j].members),
+                   self.table(lat.nodes[j]))
+                  for j in lat.lower[i])
         cls = conjugacy_classes(T)
         return _validated_table(
             T, cls, self.q, clifford_rows(T, cls, self.q, pk[0], covers))

@@ -45,10 +45,6 @@ class ContextMismatch(CharposetError):
     """Class functions or characters belong to different contexts."""
 
 
-class NotADirectProduct(CharposetError):
-    """The claimed internal direct-product structure does not validate."""
-
-
 class NotASemidirectDecomposition(CharposetError):
     """The claimed semidirect decomposition does not validate."""
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -99,19 +101,22 @@ def _generating_set(G):
 def s_node_images(spos):
     """img[g, i] = lattice node id of (node i)^g = g^-1 (node i) g.
 
-    Only a generating set of G conjugates the nodes; every other row comes
-    from X^(x s) = (X^x)^s, breadth-first from the identity over the same
-    generators. Returns an int array of shape (|G|, nodes).
+    Only a generating set of G conjugates the nodes, a level (the nodes of
+    one order) at a time in one gather, and each sorted row is looked up as
+    a member tuple. Every other row comes from X^(x s) = (X^x)^s,
+    breadth-first from the identity over the same generators. Returns an
+    int32 array of shape (|G|, nodes).
     """
     G = spos.group
     lat = spos.lattice
+    levels = [np.array([s.members for s in level])
+              for _, level in groupby(lat.nodes, key=lambda s: s.order)]
     gens = _generating_set(G)
-    gen_img = [
-        np.array([lat.node_of_members(G.conj_set(sub.members, g))
-                  for sub in lat.nodes], dtype=np.int64)
-        for g in gens
-    ]
-    img = np.zeros((G.order, lat.node_count), dtype=np.int64)
+    gen_img = [np.array([lat.node_index[tuple(row)] for level in levels
+                         for row in np.sort(G.conj_set(level, g), axis=1)
+                         .tolist()], dtype=np.int32)
+               for g in gens]
+    img = np.zeros((G.order, lat.node_count), dtype=np.int32)
     img[0] = np.arange(lat.node_count)
     done = np.zeros(G.order, dtype=bool)
     done[0] = True
@@ -482,8 +487,10 @@ def _claim_l4_1(G, p, e):
     Z = center(G)
     normal_orders = {1, G.order}
     central_ok = True
-    for sub in lat.nodes:
-        if normalizer(G, sub).order == G.order:
+    # a node is normal exactly when it is alone in its conjugacy class
+    class_size = Counter(r for r, _ in lat.conjugates)
+    for sub, (r, _) in zip(lat.nodes, lat.conjugates):
+        if class_size[r] == 1:
             normal_orders.add(sub.order)
             if sub.order < G.order and \
                     len(sub.member_set & Z.member_set) == 1:
@@ -495,7 +502,8 @@ def _claim_l4_1(G, p, e):
         n += 1
     orders_ok = normal_orders == {p ** i for i in range(n + 1)}
     p2_ok = True
-    if G.order >= p * p and len(lat.nodes_of_order(p * p)) == 1:
+    if G.order >= p * p and \
+            sum(s.order == p * p for s in lat.nodes) == 1:
         cyclic = bool((G.elem_order == G.order).any())
         cpcp = G.order == p * p and G.exponent() == p
         p2_ok = cyclic or cpcp

@@ -287,9 +287,6 @@ class Subgroup:
     def order(self):
         return len(self.members)
 
-    def contains(self, other):
-        return other.member_set <= self.member_set
-
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.label})"
 
@@ -426,7 +423,10 @@ def _extend_p_subgroup(G, mem, gens, p):
 
 @dataclass(frozen=True, eq=False)
 class PSubgroupLattice:
-    """All p-subgroups of order > p^e with index-p cover relations."""
+    """All p-subgroups of order > p^e, their index-p covers and G-classes.
+
+    conjugates[i] = (r, g): nodes[r]^g = nodes[i], r least in i's class.
+    """
 
     group: GroupTable
     p: int
@@ -435,17 +435,11 @@ class PSubgroupLattice:
     covers: tuple          # (i, j) with nodes[i] maximal in nodes[j]
     sylow_ids: tuple
     node_index: dict       # member tuple -> node id
+    conjugates: tuple      # node id -> (class representative id, g)
 
     @property
     def node_count(self):
         return len(self.nodes)
-
-    def node_of_members(self, members):
-        key = tuple(sorted(int(m) for m in members))
-        return self.node_index[key]
-
-    def nodes_of_order(self, order):
-        return tuple(i for i, s in enumerate(self.nodes) if s.order == order)
 
     @cached_property
     def lower(self):
@@ -456,14 +450,37 @@ class PSubgroupLattice:
         return tuple(tuple(sorted(b)) for b in below)
 
 
-def _build_p_lattice(G, p):
-    """S_{p,0}(G) by levels of order p, p^2, ...; each level extends the last.
+def _right_transversal(G, mem, gens):
+    """The least element of each right coset of N_G(H), H = <gens> = mem."""
+    hmask = np.zeros(G.order, dtype=bool)
+    hmask[np.array(mem)] = True
+    covered = _normalizer_mask(G, gens, hmask)
+    narr = np.flatnonzero(covered)
+    reps = [0]
+    while not covered.all():
+        reps.append(int(np.argmin(covered)))
+        covered[G.mul[narr, reps[-1]]] = True
+    return np.array(reps)
 
-    Nodes are sorted by order, then by member tuple. Every index-p inclusion
+
+def _conjugates(G, elems, T):
+    """elems conjugated by each t in T, each sorted; as given if T = [1]."""
+    if T.size == 1:
+        return [elems]
+    rows = np.sort(G.conj_set(np.array(elems), T[:, None]), axis=1)
+    return [tuple(r) for r in rows.tolist()]
+
+
+def _build_p_lattice(G, p):
+    """S_{p,0}(G) by levels of order p, p^2, ..., one conjugacy class at a time.
+
+    Nodes are sorted by order, then by member tuple. The first node H of a
+    level not yet in a class represents its class {H^t : t in a right
+    transversal of N_G(H)}, and only H is extended. Every index-p inclusion
     H < K is one extension step of H (any x in K outside H lies in N_G(H)
-    and has x^p in H), so the covers are recorded as the levels are built.
-    Each node keeps the generators it was first reached by: one element of
-    order p, then one more per step.
+    and has x^p in H), and the covers of H^t are the H^t < K^t, so each
+    cover is recorded once. Each node keeps generators: one element of order
+    p, one more per step, conjugated along with the node.
     """
     gens = {
         tuple(sorted({G.power(x, i) for i in range(p)})): (x,)
@@ -471,15 +488,22 @@ def _build_p_lattice(G, p):
     }
     level = sorted(gens)
     members = []
+    classes = {}                     # member tuple -> (representative, g)
     steps = []                       # (H, K) member tuples, |K : H| = p
     while level:
         members.extend(level)
         above = set()
         for mem in level:
+            if mem in classes:
+                continue
+            T = _right_transversal(G, mem, gens[mem])
+            conj = _conjugates(G, mem, T)
+            classes.update(zip(conj, ((mem, g) for g in T.tolist())))
             for over, x in _extend_p_subgroup(G, mem, gens[mem], p):
-                steps.append((mem, over))
-                gens.setdefault(over, gens[mem] + (x,))
-                above.add(over)
+                found = _conjugates(G, over, T)
+                steps.extend(zip(conj, found))
+                above.update(found)
+                gens.update(zip(found, _conjugates(G, gens[mem] + (x,), T)))
         level = sorted(above)
     node_index = {mem: i for i, mem in enumerate(members)}
     covers = sorted((node_index[K], node_index[H]) for H, K in steps)
@@ -492,7 +516,9 @@ def _build_p_lattice(G, p):
         group=G, p=p, e=0, nodes=nodes,
         covers=tuple((i, j) for j, i in covers),
         sylow_ids=tuple(i for i, s in enumerate(nodes) if s.order == sylow),
-        node_index=node_index)
+        node_index=node_index,
+        conjugates=tuple((node_index[classes[m][0]], classes[m][1])
+                         for m in members))
 
 
 def p_lattice(G, p):
@@ -522,7 +548,8 @@ def enumerate_p_subgroups(G, p, e=0):
         covers=tuple((i - start, j - start) for i, j in lat.covers
                      if i >= start),
         sylow_ids=tuple(i - start for i in lat.sylow_ids if i >= start),
-        node_index={s.members: i for i, s in enumerate(nodes)})
+        node_index={s.members: i for i, s in enumerate(nodes)},
+        conjugates=tuple((r - start, g) for r, g in lat.conjugates[start:]))
 
 
 def _intersection(subgroups):

@@ -34,9 +34,6 @@ class Partition:
     def representatives(self):
         return tuple(c[0] for c in self.components)
 
-    def same(self, a, b):
-        return self.component_of[a] == self.component_of[b]
-
 
 class _UnionFind:
     def __init__(self, n):
@@ -97,16 +94,16 @@ def action_on_components(G, partition, node_image, base_node=0, edges=(),
     identity |orbit| * |stab| = |G| is asserted.
     """
     n = partition.node_count
-    img = np.asarray(node_image, dtype=np.int64)
+    img = np.asarray(node_image)
     if img.shape != (G.order, n):
         raise ActionNotCompatible(
             f"node images have shape {img.shape}, need {(G.order, n)}")
     if check:
         permutes = (np.sort(img, axis=1) == np.arange(n)).all(axis=1)
-        # an undirected edge {a, b} is keyed as min * n + max
+        # an undirected edge {a, b} is keyed as min * n + max, in int64
         ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
         keys = np.unique(ends.min(axis=1) * n + ends.max(axis=1))
-        a, b = img[:, ends[:, 0]], img[:, ends[:, 1]]
+        a, b = (img[:, ends[:, k]].astype(np.int64) for k in (0, 1))
         images = np.minimum(a, b) * n + np.maximum(a, b)
         preserves = np.isin(images, keys).all(axis=1)
         bad = np.flatnonzero(~(permutes & preserves))
@@ -121,7 +118,7 @@ def action_on_components(G, partition, node_image, base_node=0, edges=(),
                 raise ActionNotCompatible(
                     "node maps are not compatible with multiplication")
 
-    comp_of = np.array(partition.component_of, dtype=np.int64)
+    comp_of = np.array(partition.component_of, dtype=np.int32)
     # cimg[g, c] = component of g's image of the least node of component c
     cimg = comp_of[img[:, list(partition.representatives)]]
     split = np.flatnonzero((comp_of[img] != cimg[:, comp_of]).any(axis=1))

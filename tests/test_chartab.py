@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charposet import modlinalg
-from charposet.catalog import catalog_roster
+from charposet import chartab, modlinalg
+from charposet.catalog import catalog_roster, realize
 from charposet.chartab import (
     CharContext,
     Character,
@@ -30,11 +30,12 @@ from charposet.errors import (
     PreconditionViolated,
     TableConstructionFailed,
 )
-from charposet.gamma import s_poset
+from charposet.gamma import build_gamma_poset, s_poset
 from charposet.group import (
     all_subgroups,
     is_prime,
     make_subgroup,
+    p_lattice,
     subgroup_closure,
 )
 from charposet.modlinalg import roots_in_field
@@ -418,3 +419,61 @@ def test_root_splitting_stops_at_its_proved_bound(monkeypatch):
 def test_root_splitting_separates_every_pair_within_the_bound(q):
     for r, s in itertools.combinations(range(q), 2):
         assert roots_in_field([r * s % q, -(r + s) % q, 1], q) == [r, s]
+
+
+def _direct_table(T, q):
+    """Classes and sorted rows of T built from T alone, not from a conjugate."""
+    cls = conjugacy_classes(T)
+    if T.is_abelian():
+        return cls, [(c.degree, c.values) for c in irr_table(T, q).chars]
+    return cls, sorted(dixon_rows(T, cls, q))
+
+
+@pytest.mark.parametrize("text,p", [
+    (text, p) for text in ("A(6)", "S(6)", "PSL(2,7)", "PSL(2,8)",
+                           "PSL(2,11)", "D(4) x D(4)", "X(3,+) x C(3)")
+    for p in (2, 3) if cached_group(text).order % p == 0])
+def test_relabelled_tables_equal_direct_builds(text, p):
+    # every node's table, relabelled from its class representative's or
+    # built there, equals the table built from the node's own group table
+    G = cached_group(text)
+    ctx = CharContext(G)
+    direct = {}
+    relabelled = 0
+    for i, S in enumerate(p_lattice(G, p).nodes):
+        table = ctx.table(S)
+        key = S.local.mul.tobytes()
+        if key not in direct:
+            direct[key] = _direct_table(S.local, ctx.q)
+        cls, rows = direct[key]
+        got = table.classes
+        assert got.reps == cls.reps, i
+        for name in ("class_of", "sizes", "inverse_class"):
+            a, b = getattr(got, name), getattr(cls, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (i, name)
+        assert [(c.degree, c.values) for c in table.chars] == rows, i
+        relabelled += p_lattice(G, p).conjugates[i][0] != i
+    assert relabelled > 0
+
+
+def test_gamma_build_classifies_each_conjugacy_class_once(monkeypatch):
+    # A(6) at p = 2 has five classes of 2-subgroups among 165 nodes: 45
+    # C(2), two classes of 15 C(2) x C(2), 45 C(4) and 45 D(4)
+    calls = []
+    classes = chartab.conjugacy_classes
+    monkeypatch.setattr(chartab, "conjugacy_classes",
+                        lambda T: calls.append(T.order) or classes(T))
+    gam = build_gamma_poset(realize("A(6)"), 2, 0)
+    assert gam.s.lattice.node_count == 165
+    assert sorted(calls) == [2, 4, 4, 4, 8]
+
+
+def test_relabelling_by_a_wrong_element_is_typed():
+    G = cached_group("A(6)")
+    lat = p_lattice(G, 2)
+    r, _ = lat.conjugates[1]
+    R, S = lat.nodes[r], lat.nodes[1]
+    assert r != 1
+    with pytest.raises(TableConstructionFailed, match="not conjugate"):
+        chartab.conjugated_table(G, CharContext(G).table(R), R.members, 0,
+                                 S.local, S.members)

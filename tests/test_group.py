@@ -51,6 +51,7 @@ from util import (
     composition_closure,
     conjugate_subgroup,
     conjugated_node_images,
+    conjugation_orbits,
     fixed_point_closure_members,
     intersection_of_level,
     iterated_elem_orders,
@@ -282,6 +283,39 @@ def test_extension_step_finds_each_overgroup_once():
         assert len(found) == len(set(found))
         assert sorted(lat.node_index[m] for m in found) == \
             [j for a, j in lat.covers if a == i]
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_lattice_classes_match_conjugation_oracle(text):
+    # conjugates[i] = (r, g): nodes[r]^g = nodes[i] with r the least node of
+    # the class, and the classes are the orbits of G acting by conjugation
+    G = cached_group(text)
+    for p in (2, 3):
+        for e in (0, 1):
+            lat = enumerate_p_subgroups(G, p, e)
+            orbit_of = conjugation_orbits(lat)
+            assert len(lat.conjugates) == lat.node_count
+            for i, (r, g) in enumerate(lat.conjugates):
+                image = tuple(sorted(G.conj_set(lat.nodes[r].members, g)
+                                     .tolist()))
+                assert image == lat.nodes[i].members, (p, e, i)
+                assert r == min(orbit_of[i]), (p, e, i)
+                assert {j for j, (s, _) in enumerate(lat.conjugates)
+                        if s == r} == orbit_of[i], (p, e, i)
+
+
+@pytest.mark.parametrize("text,p,calls", [
+    ("A(6)", 2, 5), ("S(6)", 2, 18), ("E(2,4)", 2, 66)])
+def test_one_extension_step_per_conjugacy_class(monkeypatch, text, p, calls):
+    seen = []
+    extend = group_module._extend_p_subgroup
+    monkeypatch.setattr(group_module, "_extend_p_subgroup",
+                        lambda G, mem, gens, p: seen.append(mem)
+                        or extend(G, mem, gens, p))
+    lat = group_module._build_p_lattice(realize(text), p)
+    assert len(seen) == calls
+    assert sorted(lat.node_index[m] for m in seen) == \
+        sorted({r for r, _ in lat.conjugates})
 
 
 def test_common_intersection_of_order():

@@ -9,9 +9,9 @@ import numpy as np
 from charposet.catalog import catalog_roster, realize
 from charposet.chartab import _primitive_root
 from charposet.errors import (
+    CharposetError,
     ClosureCapExceeded,
     ContextMismatch,
-    NotADirectProduct,
     NotASubgroup,
 )
 from charposet.gamma import strongly_embedded_check
@@ -31,6 +31,10 @@ from charposet.modlinalg import inv_mod
 # which the generator-based fast paths are checked against their oracles.
 DIFFERENTIAL_GROUPS = tuple(catalog_roster()) + (
     "PSL(2,8)", "PSL(2,11)", "A(6)", "S(6)")
+
+
+class NotADirectProduct(CharposetError):
+    """The claimed internal direct-product structure does not validate."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,9 +150,26 @@ def conjugated_node_images(spos):
     """node_image[g][i] = node id of (node i)^g, conjugating by every g."""
     G = spos.group
     lat = spos.lattice
-    return [tuple(lat.node_of_members(G.conj_set(sub.members, g))
+    return [tuple(lat.node_index[tuple(sorted(G.conj_set(sub.members, g)
+                                              .tolist()))]
                   for sub in lat.nodes)
             for g in range(G.order)]
+
+
+def conjugation_orbits(lat):
+    """The lattice's nodes partitioned into G-orbits, conjugating by all of G.
+
+    Returns {node id: frozenset of the node ids in its orbit}.
+    """
+    G = lat.group
+    every = np.arange(G.order)[:, None]
+    orbit_of = {}
+    for i, sub in enumerate(lat.nodes):
+        if i not in orbit_of:
+            rows = np.sort(G.conj_set(np.array(sub.members), every), axis=1)
+            orbit = frozenset(lat.node_index[tuple(r)] for r in rows.tolist())
+            orbit_of.update((j, orbit) for j in orbit)
+    return orbit_of
 
 
 def _extensions_by_subgroup_tables(G, mem, p):
@@ -198,7 +219,8 @@ def scanned_p_lattice(G, p, e, levels):
     return PSubgroupLattice(
         group=G, p=p, e=e, nodes=nodes, covers=tuple(covers),
         sylow_ids=tuple(i for i, s in enumerate(nodes) if s.order == full),
-        node_index={mem: i for i, mem in enumerate(mems)})
+        node_index={mem: i for i, mem in enumerate(mems)},
+        conjugates=None)      # the scan forms no classes
 
 
 def intersection_of_level(levels, k):
