@@ -1,9 +1,9 @@
 """Group-expression language and realizations of the named group families.
 
-Every family is realized through a faithful permutation action (regular
-action as fallback for the normal-form families), funneling into one
-construction path: `group_from_generators`. Realized tables are checked
-against each family's defining properties post-construction.
+Every family but E(p,k) and direct products is a permutation group (the
+regular action for the normal-form families) closed by `group_from_generators`
+or `closure_of_permutations`; those two are `direct_table_product`s of
+realized factors. Each realized table is checked against its family's contract.
 """
 from __future__ import annotations
 
@@ -557,7 +557,7 @@ class _GF:
         raise ZeroDivisionError("GF inverse of zero")
 
 
-def _realize_psl2(q, cap):
+def _realize_psl2(q):
     pp, k = prime_power(q)
     F = _GF(pp, k)
     inf = q                       # projective point at infinity
@@ -574,28 +574,25 @@ def _realize_psl2(q, cap):
                 img.append(F.neg(F.inv(x)))
         return tuple(img)
     gens = [translation(pp ** i) for i in range(k)] + [inversion()]
-    return group_from_generators(q + 1, gens, label=f"PSL(2,{q})", cap=cap)
+    return group_from_generators(q + 1, gens, label=f"PSL(2,{q})")
 
 
-def _realize_sl2(p, cap):
+def _realize_sl2(p):
     points = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
     index = {v: i for i, v in enumerate(points)}
     e12 = tuple(index[(a, (a + b) % p)] for a, b in points)
     e21 = tuple(index[((a + b) % p, b)] for a, b in points)
-    return group_from_generators(len(points), [e12, e21],
-                                 label=f"SL(2,{p})", cap=cap)
+    return group_from_generators(len(points), [e12, e21], label=f"SL(2,{p})")
 
 
-def realize_group(expr, cap=None):
+def realize_group(expr):
     """Realize a GroupExpr as a GroupTable and verify its family contract."""
-    if cap is None:
-        cap = order_cap()
     label = str(expr)
 
     if isinstance(expr, Cyclic):
         n = expr.n
         G = group_from_generators(n, [_cyc(n, tuple(range(n)))] if n > 1 else [],
-                                  label=label, cap=cap)
+                                  label=label)
         _contract(G.order == n and (n == 1 or (G.elem_order == n).any()),
                   "not cyclic of the right order", label)
         return G
@@ -604,9 +601,9 @@ def realize_group(expr, cap=None):
         # built as an iterated table product so the direct-factor metadata
         # needed by direct-product arguments is available downstream
         p, k = expr.p, expr.k
-        G = realize_group(Cyclic(p), cap=cap)
+        G = realize_group(Cyclic(p))
         for _ in range(k - 1):
-            G = direct_table_product(G, realize_group(Cyclic(p), cap=cap))
+            G = direct_table_product(G, realize_group(Cyclic(p)))
         G = dataclasses.replace(G, label=label)
         _contract(G.order == p ** k and G.is_abelian()
                   and G.exponent() == p, "not elementary abelian", label)
@@ -615,14 +612,14 @@ def realize_group(expr, cap=None):
     if isinstance(expr, Dihedral):
         n = expr.n
         if n == 1:
-            G = group_from_generators(2, [(1, 0)], label=label, cap=cap)
+            G = group_from_generators(2, [(1, 0)], label=label)
         elif n == 2:
             G = group_from_generators(4, [(1, 0, 2, 3), (0, 1, 3, 2)],
-                                      label=label, cap=cap)
+                                      label=label)
         else:
             rot = _cyc(n, tuple(range(n)))
             refl = tuple((n - i) % n for i in range(n))
-            G = group_from_generators(n, [rot, refl], label=label, cap=cap)
+            G = group_from_generators(n, [rot, refl], label=label)
         _contract(G.order == 2 * n and (n <= 2 or not G.is_abelian())
                   and (G.elem_order == n).any(), "not dihedral", label)
         return G
@@ -639,7 +636,7 @@ def realize_group(expr, cap=None):
                 return (i - kk) % h + h
             return (i - kk + h // 2) % h
         gens = _regular_perms(m, mult, [1, h])
-        G = group_from_generators(m, gens, label=label, cap=cap)
+        G = group_from_generators(m, gens, label=label)
         _contract(G.order == m and _involutions(G) == 1
                   and not G.is_abelian() and (G.elem_order == h).any(),
                   "not generalized quaternion", label)
@@ -651,21 +648,21 @@ def realize_group(expr, cap=None):
         r = h // 2 - 1
         a = tuple((x + 1) % h for x in range(h))
         b = tuple(r * x % h for x in range(h))
-        G = group_from_generators(h, [a, b], label=label, cap=cap)
+        G = group_from_generators(h, [a, b], label=label)
         _contract(G.order == m and not G.is_abelian()
                   and (G.elem_order == h).any()
                   and _involutions(G) == m // 4 + 1, "not semidihedral", label)
         return G
 
     if isinstance(expr, ModularMaxCyclic):
-        G = _realize_modular(expr.p, expr.n, label, cap)
+        G = _realize_modular(expr.p, expr.n, label)
         return G
 
     if isinstance(expr, Extraspecial):
         p = expr.p
         if p == 2:
             base = Dihedral(4) if expr.sign == "+" else GenQuaternion(8)
-            G = realize_group(base, cap=cap)
+            G = realize_group(base)
             G = dataclasses.replace(G, label=label)
         elif expr.sign == "+":
             def mult(x, y):
@@ -674,9 +671,9 @@ def realize_group(expr, cap=None):
                 return ((a + a2) % p + p * ((b + b2) % p)
                         + p * p * ((c + c2 + a * b2) % p))
             gens = _regular_perms(p ** 3, mult, [1, p])
-            G = group_from_generators(p ** 3, gens, label=label, cap=cap)
+            G = group_from_generators(p ** 3, gens, label=label)
         else:
-            G = _realize_modular(p, 3, label, cap)
+            G = _realize_modular(p, 3, label)
         exp_expected = (4 if expr.sign == "+" else 4) if p == 2 else \
             (p if expr.sign == "+" else p * p)
         _contract(G.order == p ** 3 and not G.is_abelian()
@@ -688,31 +685,30 @@ def realize_group(expr, cap=None):
     if isinstance(expr, Sym):
         n = expr.n
         if n == 1:
-            G = group_from_generators(1, [], label=label, cap=cap)
+            G = group_from_generators(1, [], label=label)
         elif n == 2:
-            G = group_from_generators(2, [(1, 0)], label=label, cap=cap)
+            G = group_from_generators(2, [(1, 0)], label=label)
         else:
             G = group_from_generators(
-                n, [_cyc(n, (0, 1)), _cyc(n, tuple(range(n)))],
-                label=label, cap=cap)
+                n, [_cyc(n, (0, 1)), _cyc(n, tuple(range(n)))], label=label)
         _contract(G.order == factorial(n), "wrong order for Sym", label)
         return G
 
     if isinstance(expr, Alt):
         n = expr.n
         gens = [_cyc(n, (0, 1, i)) for i in range(2, n)]
-        G = group_from_generators(n, gens, label=label, cap=cap)
+        G = group_from_generators(n, gens, label=label)
         _contract(G.order == factorial(n) // 2, "wrong order for Alt", label)
         return G
 
     if isinstance(expr, PSL2):
-        G = _realize_psl2(expr.q, cap)
+        G = _realize_psl2(expr.q)
         expected = expr.q * (expr.q ** 2 - 1) // gcd(2, expr.q - 1)
         _contract(G.order == expected, "wrong order for PSL(2,q)", label)
         return G
 
     if isinstance(expr, SL2):
-        G = _realize_sl2(expr.p, cap)
+        G = _realize_sl2(expr.p)
         expected = expr.p * (expr.p ** 2 - 1)
         _contract(G.order == expected
                   and (expr.p == 2 or _involutions(G) == 1),
@@ -720,8 +716,7 @@ def realize_group(expr, cap=None):
         return G
 
     if isinstance(expr, Perm):
-        return group_from_generators(expr.degree, expr.gens, label=label,
-                                     cap=cap)
+        return group_from_generators(expr.degree, expr.gens, label=label)
 
     if isinstance(expr, SemidirectByPerms):
         all_gens = []
@@ -729,18 +724,19 @@ def realize_group(expr, cap=None):
             if g not in all_gens:
                 all_gens.append(g)
         table, index = closure_of_permutations(expr.degree, all_gens,
-                                               label=label, cap=cap)
+                                               label=label)
         h_members = closure_members(table, [index[g] for g in expr.normal_gens])
         k_members = closure_members(table,
                                     [index[g] for g in expr.complement_gens])
-        H = make_subgroup(table, h_members, check=False)
-        K = make_subgroup(table, k_members, check=False)
+        H = make_subgroup(table, h_members)
+        K = make_subgroup(table, k_members)
         validate_semidirect(table, H, K)   # raises NotASemidirectDecomposition
         return dataclasses.replace(table,
                                    semidirect_parts=(H.members, K.members))
 
     if isinstance(expr, Product):
-        tables = [realize_group(f, cap=cap) for f in expr.factors]
+        tables = [realize_group(f) for f in expr.factors]
+        cap = order_cap()
         out = tables[0]
         for t in tables[1:]:
             out = direct_table_product(out, t)
@@ -754,20 +750,20 @@ def realize_group(expr, cap=None):
     raise TypeError(f"not a GroupExpr: {expr!r}")
 
 
-def _realize_modular(p, n, label, cap):
+def _realize_modular(p, n, label):
     h = p ** (n - 1)
     u = 1 + p ** (n - 2)
     a = tuple((x + 1) % h for x in range(h))
     b = tuple(u * x % h for x in range(h))
-    G = group_from_generators(h, [a, b], label=label, cap=cap)
+    G = group_from_generators(h, [a, b], label=label)
     _contract(G.order == p ** n and not G.is_abelian()
               and G.exponent() == h, "not modular maximal-cyclic", label)
     return G
 
 
-def realize(text, cap=None):
+def realize(text):
     """Parse-and-realize convenience."""
-    return realize_group(parse_group_expr(text), cap=cap)
+    return realize_group(parse_group_expr(text))
 
 
 # Built-in verification roster: all groups of order p^2..p^4 for p in {2, 3}

@@ -92,12 +92,15 @@ def classes_by_conjugation(G):
     return _class_data(G, class_of, reps, sizes, inverse_class)
 
 
-def dixon_modulus(G, search_limit=10**7):
+_MODULUS_SEARCH_LIMIT = 10 ** 7     # candidates q = 1 (mod exp(G)) tried
+
+
+def dixon_modulus(G):
     """Smallest prime q with q = 1 (mod exp(G)) and q > |G|^2."""
     e = G.exponent()
     n = G.order
     q = e + 1
-    for _ in range(search_limit):
+    for _ in range(_MODULUS_SEARCH_LIMIT):
         if q > n * n and is_prime(q):
             return q
         q += e

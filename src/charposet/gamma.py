@@ -255,13 +255,9 @@ def strongly_embedded_check(G, p, e, M, condition):
     lat = spos.lattice
 
     if condition == 1:
-        act = s_component_action(spos, check=False)
-        for c in range(spos.partition.count):
-            stab = [g for g in range(G.order)
-                    if act.component_image[g][c] == c]
-            if all(g in M.member_set for g in stab):
-                return True
-        return False
+        img = s_component_action(spos, check=False).component_image
+        return any(M.mask[np.flatnonzero(img[:, c] == c)].all()
+                   for c in range(spos.partition.count))
 
     if condition == 2:
         for sid in lat.sylow_ids:
@@ -340,7 +336,7 @@ def has_strongly_embedded_subgroup(G, p, e):
         mem = queue.pop()
         if len(mem) == G.order:
             continue
-        M = make_subgroup(G, mem, check=False)
+        M = make_subgroup(G, mem)
         if strongly_embedded_check(G, p, e, M, 5):
             return True
         for g in _double_coset_reps(G, M):
@@ -564,8 +560,8 @@ def _claim_l4_4(G, p, e):
 def _claim_l4_6(G, p, e):
     parts = G.semidirect_parts
     _require(parts is not None, "G carries no semidirect decomposition")
-    H = make_subgroup(G, parts[0], check=False)
-    K = make_subgroup(G, parts[1], check=False)
+    H = make_subgroup(G, parts[0])
+    K = make_subgroup(G, parts[1])
     _require(H.order == p * p and K.order == p * p,
              f"need |H| = |K| = {p * p}")
     validate_semidirect(G, H, K)

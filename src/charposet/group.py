@@ -291,35 +291,39 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.label})"
 
 
-def make_subgroup(G, members, check=True):
-    """Wrap a closed member set of G as a Subgroup with its induced table."""
+def make_subgroup(G, members):
+    """A closed member set of G as a Subgroup, its table read from G's.
+
+    Closure under products is the one check a finite group needs. The whole
+    group's table is G itself, which shares G's memo.
+    """
     members = tuple(sorted(int(m) for m in set(members)))
     if not members or members[0] != 0:
         raise NotASubgroup("subgroup must contain the identity")
+    if members[-1] >= G.order:
+        raise NotASubgroup(f"member {members[-1]} >= |G| = {G.order}")
     marr = np.array(members, dtype=np.int32)
     lut = np.full(G.order, -1, dtype=np.int32)
     lut[marr] = np.arange(len(members), dtype=np.int32)
-    prods = G.mul[np.ix_(marr, marr)]
-    local_mul = lut[prods]
-    if (local_mul < 0).any():
-        raise NotASubgroup("member set is not closed under multiplication")
-    if check and (lut[G.inv[marr]] < 0).any():
-        raise NotASubgroup("member set is not closed under inversion")
-    local = table_from_mul(
-        local_mul,
-        label=f"{G.label}|{{{len(members)}}}",
-        words=tuple(G.word(m) for m in members) if G.words else None,
-    )
-    mask = np.zeros(G.order, dtype=bool)
-    mask[marr] = True
+    mask = lut >= 0
     mask.setflags(write=False)
+    local = G
+    if len(members) < G.order:
+        local_mul = lut[G.mul[np.ix_(marr, marr)]]
+        if (local_mul < 0).any():
+            raise NotASubgroup("member set is not closed under multiplication")
+        local = GroupTable(len(members), local_mul, lut[G.inv[marr]],
+                           G.elem_order[marr],
+                           label=f"{G.label}|{{{len(members)}}}")
+        for a in (local.mul, local.inv, local.elem_order):
+            a.setflags(write=False)
     return Subgroup(parent=G, members=members, local=local,
                     index_of={int(m): i for i, m in enumerate(members)},
                     member_set=frozenset(members), mask=mask)
 
 
 def whole_group_subgroup(G):
-    return make_subgroup(G, range(G.order), check=False)
+    return make_subgroup(G, range(G.order))
 
 
 def closure_members(G, seed):
@@ -345,7 +349,7 @@ def subgroup_closure(G, seed):
     for s in seed:
         if not 0 <= int(s) < G.order:
             raise PreconditionViolated(f"seed element {s} out of range")
-    return make_subgroup(G, closure_members(G, seed), check=False)
+    return make_subgroup(G, closure_members(G, seed))
 
 
 def _normalizer_mask(G, gens, mask):
@@ -364,7 +368,7 @@ def normalizer(G, H):
     if H.parent is not G:
         raise NotASubgroup("subgroup belongs to a different parent group")
     ok = _normalizer_mask(G, H.members, H.mask)
-    return make_subgroup(G, (int(x) for x in np.flatnonzero(ok)), check=False)
+    return make_subgroup(G, (int(x) for x in np.flatnonzero(ok)))
 
 
 def centralizer_members(G, members):
@@ -375,8 +379,7 @@ def centralizer_members(G, members):
 
 def center(G):
     """Z(G)."""
-    return make_subgroup(G, centralizer_members(G, np.arange(G.order)),
-                         check=False)
+    return make_subgroup(G, centralizer_members(G, np.arange(G.order)))
 
 
 def omega1(P, p):
@@ -385,7 +388,7 @@ def omega1(P, p):
     if not is_p_power(P.order, p):
         raise NotAPGroup(f"|P| = {P.order} is not a power of {p}")
     gens = [m for m in P.members if int(G.elem_order[m]) in (1, p)]
-    sub = make_subgroup(G, closure_members(G, gens), check=False)
+    sub = make_subgroup(G, closure_members(G, gens))
     if not P.member_set >= sub.member_set:
         raise NotASubgroup("omega1 escaped P; P is not closed")
     return sub
@@ -507,7 +510,7 @@ def _build_p_lattice(G, p):
         level = sorted(above)
     node_index = {mem: i for i, mem in enumerate(members)}
     covers = sorted((node_index[K], node_index[H]) for H, K in steps)
-    nodes = tuple(make_subgroup(G, mem, check=False) for mem in members)
+    nodes = tuple(make_subgroup(G, mem) for mem in members)
     sylow = p ** p_valuation(G.order, p)
     if nodes and nodes[-1].order != sylow:
         raise LatticeConstructionFailed(
@@ -584,7 +587,7 @@ def frattini_of_p_group(P, p):
         by_maximals = _intersection([lat.nodes[i] for i in lat.lower[j]])
     if by_powers != by_maximals:
         raise LatticeConstructionFailed("Frattini computations disagree")
-    return make_subgroup(G, by_powers, check=False)
+    return make_subgroup(G, by_powers)
 
 
 def common_intersection_of_order(G, p, k):
@@ -596,7 +599,7 @@ def common_intersection_of_order(G, p, k):
     lat = enumerate_p_subgroups(G, p)
     # nonempty: by Sylow's theorem, checked when the lattice was built
     level = [s for s in lat.nodes if p_valuation(s.order, p) == k]
-    return make_subgroup(G, _intersection(level), check=False)
+    return make_subgroup(G, _intersection(level))
 
 
 def all_subgroups(G):
@@ -622,7 +625,7 @@ def build_all_subgroups(G):
                 seen.add(new)
                 queue.append(new)
     ordered = sorted(seen, key=lambda m: (len(m), m))
-    return tuple(make_subgroup(G, m, check=False) for m in ordered)
+    return tuple(make_subgroup(G, m) for m in ordered)
 
 
 def direct_table_product(A, B, label=None):

@@ -71,14 +71,14 @@ def components(node_count, edges):
                      tuple(tuple(c) for c in comps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentAction:
     """A group's permutation action on the components of a partition."""
 
     partition: Partition
-    component_image: tuple   # component_image[g][c] = image of component c
-    orbit: tuple             # orbit of the base component, sorted
-    stabilizer: Subgroup     # stabilizer of the base component
+    component_image: np.ndarray  # [g, c] = image of component c, read-only
+    orbit: tuple                 # orbit of the base component, sorted
+    stabilizer: Subgroup         # stabilizer of the base component
 
 
 def action_on_components(G, partition, node_image, base_node=0, edges=(),
@@ -131,5 +131,5 @@ def action_on_components(G, partition, node_image, base_node=0, edges=(),
     stabilizer = make_subgroup(G, np.flatnonzero(cimg[:, base] == base))
     if len(orbit) * stabilizer.order != G.order:
         raise ActionNotCompatible("orbit-stabilizer identity failed")
-    return ComponentAction(partition, tuple(map(tuple, cimg.tolist())),
-                           tuple(orbit), stabilizer)
+    cimg.setflags(write=False)
+    return ComponentAction(partition, cimg, tuple(orbit), stabilizer)

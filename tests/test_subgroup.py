@@ -1,0 +1,96 @@
+"""Subgroup tables read from the parent's, against an independent rebuild."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import charposet.group as group_module
+from charposet.catalog import catalog_roster, realize
+from charposet.errors import NotASubgroup
+from charposet.gamma import gamma_poset, s_component_action, s_poset, verify
+from charposet.group import (
+    center,
+    closure_members,
+    enumerate_p_subgroups,
+    make_subgroup,
+    normalizer,
+    whole_group_subgroup,
+)
+from util import DIFFERENTIAL_GROUPS, cached_group, induced_table
+
+SMALL_CATALOG = tuple(catalog_roster(max_order=24))
+
+
+def _assert_table_matches_oracle(H):
+    want = induced_table(H.parent, H.members)
+    got = H.local
+    assert got.order == want.order == H.order
+    for name in ("mul", "inv", "elem_order"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+        assert not a.flags.writeable, name
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_node_and_normalizer_tables_match_oracle(text):
+    G = cached_group(text)
+    for p in (2, 3):
+        for H in enumerate_p_subgroups(G, p).nodes:
+            _assert_table_matches_oracle(H)
+            _assert_table_matches_oracle(normalizer(G, H))
+    _assert_table_matches_oracle(center(G))
+
+
+@pytest.mark.parametrize("text", ["A(6)", "PSL(2,8)", "PSL(2,11)"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_component_stabilizer_tables_match_oracle(text, p):
+    act = s_component_action(s_poset(cached_group(text), p, 0))
+    _assert_table_matches_oracle(act.stabilizer)
+
+
+@pytest.mark.parametrize("text", ["C(1)", "S(3)", "D(4)", "A(6)"])
+def test_whole_group_subgroup_shares_the_parent_table(text):
+    G = cached_group(text)
+    W = whole_group_subgroup(G)
+    assert W.local is G
+    assert W.members == tuple(range(G.order))
+
+
+def test_sylow_node_of_a_p_group_is_the_group_itself():
+    G = cached_group("D(8)")
+    lat = enumerate_p_subgroups(G, 2)
+    assert lat.nodes[lat.sylow_ids[0]].local is G
+
+
+@pytest.mark.parametrize("members", [[0, 7], [0, 4], [-1, 0]])
+def test_members_outside_the_group_are_rejected(members):
+    with pytest.raises(NotASubgroup):
+        make_subgroup(realize("C(4)"), members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.sampled_from(SMALL_CATALOG), data=st.data())
+def test_make_subgroup_accepts_exactly_the_closed_subsets(text, data):
+    G = cached_group(text)
+    subset = {0} | data.draw(st.sets(st.integers(1, G.order - 1)))
+    if data.draw(st.booleans()):        # reach the closed case often too
+        subset = set(closure_members(G, subset))
+    if tuple(sorted(subset)) == closure_members(G, subset):
+        _assert_table_matches_oracle(make_subgroup(G, subset))
+    else:
+        with pytest.raises(NotASubgroup):
+            make_subgroup(G, subset)
+
+
+def test_no_subgroup_table_goes_through_table_from_mul(monkeypatch):
+    A6 = realize("A(6)")
+    DD = realize("D(4) x D(4)")
+    expected = gamma_poset(cached_group("D(4) x D(4)"), 2, 0).partition.count
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subgroup table went through table_from_mul")
+
+    monkeypatch.setattr(group_module, "table_from_mul", refuse)
+    assert verify(A6, 2, 0, "ThmA").status == "pass"
+    assert gamma_poset(DD, 2, 0).partition.count == expected

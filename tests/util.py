@@ -24,6 +24,7 @@ from charposet.group import (
     is_p_power,
     make_subgroup,
     normalizer,
+    table_from_mul,
 )
 from charposet.modlinalg import inv_mod
 
@@ -146,6 +147,18 @@ def iterated_elem_orders(mul):
     return out
 
 
+def induced_table(G, members):
+    """The subgroup's table from its induced product table alone.
+
+    `table_from_mul` checks the identity and the rows and derives the
+    inverses and element orders itself, reading nothing else of G.
+    """
+    marr = np.array(sorted(members), dtype=np.int32)
+    lut = np.full(G.order, -1, dtype=np.int32)
+    lut[marr] = np.arange(marr.size, dtype=np.int32)
+    return table_from_mul(lut[G.mul[np.ix_(marr, marr)]])
+
+
 def conjugated_node_images(spos):
     """node_image[g][i] = node id of (node i)^g, conjugating by every g."""
     G = spos.group
@@ -174,7 +187,7 @@ def conjugation_orbits(lat):
 
 def _extensions_by_subgroup_tables(G, mem, p):
     """Index-p overgroups of H: the coset union for every x in N_G(H) - H."""
-    H = make_subgroup(G, mem, check=False)
+    H = make_subgroup(G, mem)
     hset = H.member_set
     out = set()
     for x in normalizer(G, H).members:
@@ -212,7 +225,7 @@ def scanned_p_lattice(G, p, e, levels):
     """S_{p,e} from levelled_p_subgroups, covers by comparing every pair."""
     mems = [mem for k in sorted(levels) if p ** k > p ** e
             for mem in levels[k]]
-    nodes = tuple(make_subgroup(G, mem, check=False) for mem in mems)
+    nodes = tuple(make_subgroup(G, mem) for mem in mems)
     covers = [(i, j) for j, K in enumerate(nodes) for i, H in enumerate(nodes)
               if H.order * p == K.order and H.member_set <= K.member_set]
     full = p ** max(levels) if levels else None
@@ -253,8 +266,7 @@ def conjugate_subgroup(G, H, g):
     """H^g = {g^-1 h g : h in H}."""
     if H.parent is not G:
         raise NotASubgroup("subgroup belongs to a different parent group")
-    return make_subgroup(G, (int(x) for x in G.conj_set(H.members, g)),
-                         check=False)
+    return make_subgroup(G, (int(x) for x in G.conj_set(H.members, g)))
 
 
 def check_component_projection(gamma):
