@@ -366,7 +366,7 @@ def conjugated_table(G, tR, rmembers, g, T, members):
     return _validated_table(T, cls, tR.q, rows)
 
 
-def irr_table(G, q=None):
+def irr_table(G, q):
     """Full irreducible character table of G as residues mod q.
 
     An abelian G takes Hom(G, GF(q)^*) directly (`abelian_rows`); any other
@@ -374,8 +374,6 @@ def irr_table(G, q=None):
     oracle for `clifford_rows` on p-groups.
     """
     cls = conjugacy_classes(G)
-    if q is None:
-        q = dixon_modulus(G)
     _require_int64_headroom(G.order, q)
     rows = abelian_rows(G, q) if G.is_abelian() else dixon_rows(G, cls, q)
     return _validated_table(G, cls, q, rows)
@@ -442,7 +440,7 @@ class CharContext:
         """Irr of the subgroup with these members, whose own table is T."""
         pk = prime_power(T.order)
         if pk is None or (T.order == self.group.order and T.is_abelian()):
-            return irr_table(T, q=self.q)
+            return irr_table(T, self.q)
         lat = p_lattice(self.group, pk[0])
         i = lat.node_index[members]
         r, g = lat.conjugates[i]
@@ -451,7 +449,7 @@ class CharContext:
             return conjugated_table(self.group, self.table(R), R.members,
                                     g, T, members)
         if T.is_abelian():
-            return irr_table(T, q=self.q)
+            return irr_table(T, self.q)
         marr = np.array(members, dtype=np.int64)
         covers = ((np.searchsorted(marr, lat.nodes[j].members),
                    self.table(lat.nodes[j]))

@@ -134,15 +134,13 @@ def s_node_images(spos):
     return img
 
 
-def s_component_action(spos, base_node=None, check=True):
-    """Conjugation action of G on pi_0 S, based at a Sylow node by default."""
-    if base_node is None:
-        if not spos.lattice.sylow_ids:
-            raise PreconditionViolated("empty poset has no base component")
-        base_node = spos.lattice.sylow_ids[0]
+def s_component_action(spos):
+    """Conjugation action of G on pi_0 S, based at the first Sylow node."""
+    if not spos.lattice.sylow_ids:
+        raise PreconditionViolated("empty poset has no base component")
     return action_on_components(spos.group, spos.partition,
-                                s_node_images(spos), base_node=base_node,
-                                edges=spos.lattice.covers, check=check)
+                                s_node_images(spos),
+                                base_node=spos.lattice.sylow_ids[0])
 
 
 # --- Gamma_{p,e}(G) -------------------------------------------------------
@@ -186,24 +184,17 @@ def restriction_multiplicities(ctx, H, K):
     return (M * inv_mod(H.order, q)) % q
 
 
-def build_gamma_poset(G, p, e, ctx=None, full_comparability=False):
+def build_gamma_poset(G, p, e):
     spos = s_poset(G, p, e)
     lat = spos.lattice
-    if ctx is None:
-        ctx = char_context(G)
+    ctx = char_context(G)
     nodes = []
     offsets = []
     for i, sub in enumerate(lat.nodes):
         offsets.append(len(nodes))
         nodes.extend(GammaNode(i, a) for a in range(ctx.table(sub).count))
-    if full_comparability:
-        pairs = [(i, j) for i, H in enumerate(lat.nodes)
-                 for j, K in enumerate(lat.nodes)
-                 if H.order < K.order and H.member_set <= K.member_set]
-    else:
-        pairs = lat.covers
     edges = []
-    for i, j in pairs:
+    for i, j in lat.covers:
         M = restriction_multiplicities(ctx, lat.nodes[i], lat.nodes[j])
         for a, b in zip(*np.nonzero(M)):
             edges.append((offsets[i] + int(a), offsets[j] + int(b)))
@@ -232,18 +223,10 @@ def x_of_sylow(gamma, sylow_node):
 
 # --- strongly embedded subgroups ------------------------------------------
 
-def _p_nodes_inside(lat, member_set):
-    return [i for i, sub in enumerate(lat.nodes)
-            if sub.member_set <= member_set]
-
-
-def strongly_embedded_check(G, p, e, M, condition):
-    """Evaluate one of the five equivalent strong-embedding conditions.
-
-    The conditions characterize the stabilizer of a component of S(p, e):
-    (1) containment of some component stabilizer; (2) Sylow-local normalizer
-    trapping; (3) normalizer trapping inside M; (4) Sylow normalizer plus
-    p-overgroup closure; (5) p^(e+1) divides |M| but no |M intersect M^x|.
+def strongly_embedded_check(G, p, e, M):
+    """Whether M is strongly p^(e+1)-embedded in G: p^(e+1) divides |M| but
+    no |M intersect M^x| for x outside M (condition 5 of the five equivalent
+    conditions of Quillen 1978, Prop. 5.2).
     """
     if M.parent is not G or M.order == G.order:
         raise PreconditionViolated("M must be a proper subgroup of G")
@@ -251,53 +234,16 @@ def strongly_embedded_check(G, p, e, M, condition):
         raise PreconditionViolated(
             f"{_power_text(p, e + 1)} does not divide |G|")
     pe1 = p ** (e + 1)
-    spos = s_poset(G, p, e)
-    lat = spos.lattice
-
-    if condition == 1:
-        img = s_component_action(spos, check=False).component_image
-        return any(M.mask[np.flatnonzero(img[:, c] == c)].all()
-                   for c in range(spos.partition.count))
-
-    if condition == 2:
-        for sid in lat.sylow_ids:
-            S = lat.nodes[sid]
-            if all(normalizer(G, lat.nodes[i]).member_set <= M.member_set
-                   for i in _p_nodes_inside(lat, S.member_set)):
-                return True
+    if M.order % pe1:
         return False
-
-    if condition == 3:
-        if M.order % pe1:
+    marr = np.array(M.members, dtype=np.int32)
+    for x in range(G.order):
+        if x in M.member_set:
+            continue
+        conj = set(int(v) for v in G.conj_set(marr, x))
+        if len(conj & M.member_set) % pe1 == 0:
             return False
-        return all(normalizer(G, lat.nodes[i]).member_set <= M.member_set
-                   for i in _p_nodes_inside(lat, M.member_set))
-
-    if condition == 4:
-        if not any(normalizer(G, lat.nodes[sid]).member_set <= M.member_set
-                   for sid in lat.sylow_ids):
-            return False
-        for i in _p_nodes_inside(lat, M.member_set):
-            small = lat.nodes[i].member_set
-            for j, Q in enumerate(lat.nodes):
-                if small <= Q.member_set and \
-                        not Q.member_set <= M.member_set:
-                    return False
-        return True
-
-    if condition == 5:
-        if M.order % pe1:
-            return False
-        marr = np.array(M.members, dtype=np.int32)
-        for x in range(G.order):
-            if x in M.member_set:
-                continue
-            conj = set(int(v) for v in G.conj_set(marr, x))
-            if len(conj & M.member_set) % pe1 == 0:
-                return False
-        return True
-
-    raise PreconditionViolated(f"condition must be 1..5, got {condition}")
+    return True
 
 
 def _double_coset_reps(G, M):
@@ -337,7 +283,7 @@ def has_strongly_embedded_subgroup(G, p, e):
         if len(mem) == G.order:
             continue
         M = make_subgroup(G, mem)
-        if strongly_embedded_check(G, p, e, M, 5):
+        if strongly_embedded_check(G, p, e, M):
             return True
         for g in _double_coset_reps(G, M):
             over = closure_members(G, mem + (g,))
@@ -422,7 +368,7 @@ def _claim_thm_a(G, p, e):
     observed = {"gamma_components": n_gamma}
     expected = {"gamma_components": x * s}
     if _sylow_has_cc_or_elem_abelian(G, p, e):
-        act = s_component_action(spos, base_node=P, check=False)
+        act = s_component_action(spos)
         index = G.order // act.stabilizer.order
         observed["gamma_structural"] = n_gamma
         observed["s_structural"] = s
@@ -476,6 +422,11 @@ def _claim_l2_3(G, p, e):
     return ({"components": gam.partition.count}, {"components": 1})
 
 
+def _cyclic_or_cp_cp(G, p):
+    return bool((G.elem_order == G.order).any()) or \
+        (G.order == p * p and G.exponent() == p)
+
+
 def _claim_l4_1(G, p, e):
     _require(is_p_power(G.order, p) and G.order > 1,
              "G must be a nontrivial p-group")
@@ -491,18 +442,12 @@ def _claim_l4_1(G, p, e):
             if sub.order < G.order and \
                     len(sub.member_set & Z.member_set) == 1:
                 central_ok = False
-    n = 0
-    o = G.order
-    while o > 1:
-        o //= p
-        n += 1
+    n = p_valuation(G.order, p)
     orders_ok = normal_orders == {p ** i for i in range(n + 1)}
     p2_ok = True
     if G.order >= p * p and \
             sum(s.order == p * p for s in lat.nodes) == 1:
-        cyclic = bool((G.elem_order == G.order).any())
-        cpcp = G.order == p * p and G.exponent() == p
-        p2_ok = cyclic or cpcp
+        p2_ok = _cyclic_or_cp_cp(G, p)
     observed = {"central_intersections": central_ok,
                 "normal_orders": orders_ok,
                 "unique_p2_classification": p2_ok}
@@ -512,9 +457,7 @@ def _claim_l4_1(G, p, e):
 def _claim_l4_2(G, p, e):
     _require(is_p_power(G.order, p) and G.order >= p * p,
              f"G must be a p-group of order >= {p * p}")
-    cyclic = bool((G.elem_order == G.order).any())
-    cpcp = G.order == p * p and G.exponent() == p
-    _require(cyclic or cpcp, "G must be cyclic or C_p x C_p")
+    _require(_cyclic_or_cp_cp(G, p), "G must be cyclic or C_p x C_p")
     gam = gamma_poset(G, p, 1)
     return ({"components": gam.partition.count}, {"components": p * p})
 
@@ -614,27 +557,16 @@ def verify(G, p, e, claim):
 def scan_nontrivial_I(roster, p, k):
     """Per p-group, |I| = |intersection of all order-p^k subgroups|, if > 1.
 
-    Accepts expression strings, GroupExpr nodes, or GroupTables. Entries
-    whose computation fails are collected as (label, message) instead of
-    aborting the scan. For k = 2 each reported value is cross-checked
-    against |pi_0 Gamma(p, 1)|.
+    roster holds GroupTables. Entries whose computation fails are collected
+    as (label, message) instead of aborting the scan. For k = 2 each
+    reported value is cross-checked against |pi_0 Gamma(p, 1)|.
     """
-    from .catalog import parse_group_expr, realize_group
     results = []
     errors = []
-    for entry in roster:
-        label = entry if isinstance(entry, str) else str(entry)
+    for G in roster:
         try:
-            if isinstance(entry, GroupTable):
-                G = entry
-                label = G.label
-            else:
-                expr = parse_group_expr(entry) if isinstance(entry, str) \
-                    else entry
-                G = realize_group(expr)
-                label = G.label
             if not is_p_power(G.order, p) or p_valuation(G.order, p) < k:
-                raise NotAPGroup(f"{label} is not a p-group of order >= "
+                raise NotAPGroup(f"{G.label} is not a p-group of order >= "
                                  f"{_power_text(p, k)}")
             size = common_intersection_of_order(G, p, k).order
             if size > 1:
@@ -644,7 +576,7 @@ def scan_nontrivial_I(roster, p, k):
                         raise CrossCheckFailed(
                             f"|I| = {size} but Gamma(p,1) has {got} "
                             "components")
-                results.append((label, size))
+                results.append((G.label, size))
         except CharposetError as exc:
-            errors.append((label, f"{type(exc).__name__}: {exc}"))
+            errors.append((G.label, f"{type(exc).__name__}: {exc}"))
     return results, errors

@@ -132,10 +132,6 @@ class GroupTable:
             self._memo[key] = build()
         return self._memo[key]
 
-    def conj(self, x, g):
-        """g^{-1} x g."""
-        return int(self.mul[self.mul[self.inv[g], x], g])
-
     def conj_set(self, members, g):
         """Image of a member array under conjugation by g."""
         members = np.asarray(members)
@@ -184,8 +180,7 @@ def _elem_orders(mul):
     raise ValueError("some element has no power equal to the identity")
 
 
-def table_from_mul(mul, label="G", words=None, direct_factors=None,
-                   semidirect_parts=None):
+def table_from_mul(mul, label="G", words=None, direct_factors=None):
     """Build a GroupTable from a raw multiplication table (identity = 0)."""
     mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
     n = mul.shape[0]
@@ -203,8 +198,7 @@ def table_from_mul(mul, label="G", words=None, direct_factors=None,
     inv.setflags(write=False)
     elem_order.setflags(write=False)
     return GroupTable(order=n, mul=mul, inv=inv, elem_order=elem_order,
-                      label=label, words=words, direct_factors=direct_factors,
-                      semidirect_parts=semidirect_parts)
+                      label=label, words=words, direct_factors=direct_factors)
 
 
 def _compose(a, b):

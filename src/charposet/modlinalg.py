@@ -64,27 +64,6 @@ def nullspace(A, q):
     return basis
 
 
-def det_mod(A, q):
-    A = np.array(A, dtype=np.int64) % q
-    n = A.shape[0]
-    det = 1
-    for c in range(n):
-        hits = np.flatnonzero(A[c:, c])
-        if hits.size == 0:
-            return 0
-        k = c + int(hits[0])
-        if k != c:
-            A[[c, k]] = A[[k, c]]
-            det = (-det) % q
-        det = (det * A[c, c]) % q
-        inv = inv_mod(A[c, c], q)
-        A[c] = (A[c] * inv) % q
-        below = np.flatnonzero(A[c + 1:, c]) + c + 1
-        if below.size:
-            A[below] = (A[below] - np.outer(A[below, c], A[c])) % q
-    return int(det)
-
-
 # --- dense polynomials mod q, little-endian coefficient lists ---
 
 def poly_trim(f):
@@ -155,33 +134,27 @@ def poly_pow_mod(base, exp, mod, q):
     return result
 
 
-def poly_eval(f, x, q):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % q
-    return acc
-
-
 def charpoly(A, q):
-    """Characteristic polynomial det(xI - A) mod q, by interpolation."""
+    """Characteristic polynomial det(xI - A) mod q, by Faddeev-LeVerrier.
+
+    With c_d = 1 and M_0 = 0: M_k = A M_(k-1) + c_(d-k+1) I and
+    c_(d-k) = -tr(A M_k) / k for k = 1..d, so 1..d must be invertible mod q.
+    Entries stay in [0, q), so each product A M_k sums d <= |G| products of
+    two residues, within the |G| (q-1)^2 < 2^63 headroom that `chartab`
+    checks.
+    """
     A = np.asarray(A, dtype=np.int64) % q
     d = A.shape[0]
-    xs = list(range(d + 1))
+    if d >= q:
+        raise TableConstructionFailed(
+            f"charpoly of a {d} x {d} matrix needs q > {d}, got q = {q}")
     eye = np.eye(d, dtype=np.int64)
-    ys = [det_mod((x * eye - A) % q, q) for x in xs]
-    # Lagrange interpolation on d+1 points
-    master = [1]
-    for x in xs:
-        master = poly_mul(master, [(-x) % q, 1], q)
-    out = [0]
-    for x, y in zip(xs, ys):
-        li, rem = poly_divmod(master, [(-x) % q, 1], q)
-        if rem != [0]:
-            raise TableConstructionFailed(
-                "interpolation node is not a root of the master polynomial")
-        denom = poly_eval(li, x, q)
-        out = poly_add(out, poly_scale(li, y * inv_mod(denom, q) % q, q), q)
-    return poly_trim(out)
+    coeffs = [1]                       # c_d, c_(d-1), ..., c_0
+    AM = np.zeros_like(A)              # A M_0
+    for k in range(1, d + 1):
+        AM = A @ ((AM + coeffs[-1] * eye) % q) % q
+        coeffs.append(-int(AM.trace()) * inv_mod(k, q) % q)
+    return coeffs[::-1]
 
 
 def _split_roots(f, q, out):

@@ -81,43 +81,21 @@ class ComponentAction:
     stabilizer: Subgroup         # stabilizer of the base component
 
 
-def action_on_components(G, partition, node_image, base_node=0, edges=(),
-                         check=True):
+def action_on_components(G, partition, node_image, base_node=0):
     """Induced action of G on components, with the orbit and stabilizer of
     the component containing base_node.
 
-    node_image[g][v] must be the image of node v under group element g; it
-    is read as a (|G|, nodes) int array. When `check` is set, the action is
-    validated: each map must permute the nodes, preserve every given edge,
-    and be compatible with the multiplication table. Every element must map
-    each component into a single component, and the orbit-stabilizer
-    identity |orbit| * |stab| = |G| is asserted.
+    node_image[g][v] must be the image of node v under group element g,
+    read as a (|G|, nodes) int array. The maps are assumed, not checked, to
+    form an action. A wrong shape, an element that splits a component
+    across components, or a failed orbit-stabilizer identity
+    |orbit| * |stab| = |G| raises ActionNotCompatible.
     """
     n = partition.node_count
     img = np.asarray(node_image)
     if img.shape != (G.order, n):
         raise ActionNotCompatible(
             f"node images have shape {img.shape}, need {(G.order, n)}")
-    if check:
-        permutes = (np.sort(img, axis=1) == np.arange(n)).all(axis=1)
-        # an undirected edge {a, b} is keyed as min * n + max, in int64
-        ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        keys = np.unique(ends.min(axis=1) * n + ends.max(axis=1))
-        a, b = (img[:, ends[:, k]].astype(np.int64) for k in (0, 1))
-        images = np.minimum(a, b) * n + np.maximum(a, b)
-        preserves = np.isin(images, keys).all(axis=1)
-        bad = np.flatnonzero(~(permutes & preserves))
-        if bad.size:
-            g = int(bad[0])
-            what = "preserve edges" if permutes[g] else "permute the nodes"
-            raise ActionNotCompatible(f"element {g} does not {what}")
-        # homomorphism spot-check: all g against a bounded slice of h keeps
-        # validation near-linear in |G| while still catching orientation bugs
-        for h in range(min(G.order, 8)):
-            if (img[h][img] != img[G.mul[:, h]]).any():
-                raise ActionNotCompatible(
-                    "node maps are not compatible with multiplication")
-
     comp_of = np.array(partition.component_of, dtype=np.int32)
     # cimg[g, c] = component of g's image of the least node of component c
     cimg = comp_of[img[:, list(partition.representatives)]]

@@ -13,12 +13,10 @@ from charposet.chartab import (
     restrict_values,
 )
 from charposet.gamma import (
-    build_gamma_poset,
     gamma_poset,
     has_strongly_embedded_subgroup,
     s_component_action,
     s_poset,
-    strongly_embedded_check,
     verify,
     x_of_sylow,
 )
@@ -34,6 +32,8 @@ from util import (
     cached_group,
     check_column_orthogonality,
     check_component_projection,
+    five_conditions,
+    full_comparability_partition,
 )
 
 
@@ -132,7 +132,7 @@ def test_criterion_04_product_law(capsys):
     # the A(5) instance: 5 = 5 * 1, stabilizer order 12
     spos = s_poset(cached_group("A(5)"), 2, 0)
     gam = gamma_poset(cached_group("A(5)"), 2, 0)
-    act = s_component_action(spos, check=False)
+    act = s_component_action(spos)
     if not (gam.partition.count == 5
             and x_of_sylow(gam, spos.lattice.sylow_ids[0]) == 1
             and spos.partition.count == 5
@@ -154,8 +154,7 @@ def test_criterion_05_five_condition_equivalence(capsys):
                 for M in all_subgroups(G):
                     if M.order == G.order:
                         continue
-                    answers = {strongly_embedded_check(G, p, e, M, c)
-                               for c in (1, 2, 3, 4, 5)}
+                    answers = set(five_conditions(G, p, e, M))
                     if len(answers) != 1:
                         failures.append((text, p, e, M.members))
     _report(capsys, 5, "five-way strong-embedding equivalence (order <= 24)",
@@ -251,10 +250,8 @@ def test_criterion_09_oracle_equivalences(capsys):
                     if G.order % p ** (e + 1):
                         continue
                     covers = gamma_poset(G, p, e)
-                    full = build_gamma_poset(G, p, e,
-                                             full_comparability=True)
-                    if covers.partition.component_of != \
-                            full.partition.component_of:
+                    full = full_comparability_partition(G, p, e)
+                    if covers.partition.component_of != full.component_of:
                         failures.append((text, p, e, "components"))
     _report(capsys, 9, "oracle equivalences (subset closure, full comparability)",
             failures)

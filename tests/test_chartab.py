@@ -44,6 +44,7 @@ from util import (
     check_column_orthogonality,
     complex_character_values,
     direct_product_char,
+    interpolated_charpoly,
     lift_through_complement,
     regular_character,
     validate_direct_product,
@@ -278,7 +279,7 @@ def test_abelian_rows_equal_dixon_on_catalog_s_poset_nodes():
 @pytest.mark.parametrize("text", ["E(2,5)", "C(81)", "C(9) x C(9)", "E(3,4)"])
 def test_abelian_rows_equal_dixon_on_whole_groups(text):
     G = cached_group(text)
-    _assert_fast_rows_equal_dixon(G, irr_table(G))
+    _assert_fast_rows_equal_dixon(G, irr_table(G, dixon_modulus(G)))
 
 
 @st.composite
@@ -293,7 +294,7 @@ def _three_cyclic_factors(draw):
 @given(_three_cyclic_factors())
 def test_abelian_rows_equal_dixon_on_products_of_cyclics(factors):
     G = cached_group(" x ".join(f"C({n})" for n in factors))
-    _assert_fast_rows_equal_dixon(G, irr_table(G))
+    _assert_fast_rows_equal_dixon(G, irr_table(G, dixon_modulus(G)))
 
 
 @pytest.mark.parametrize("text", ["C(4) x C(2)", "A(4)"])
@@ -398,10 +399,34 @@ def test_failed_induction_and_restriction_checks_are_typed():
                               C3)
 
 
-def test_charpoly_interpolation_check_is_typed(monkeypatch):
-    monkeypatch.setattr(modlinalg, "poly_divmod", lambda f, g, q: ([0], [1]))
-    with pytest.raises(TableConstructionFailed, match="interpolation"):
-        modlinalg.charpoly(np.eye(2, dtype=np.int64), 7)
+def _charpoly_inputs(d, q, rng):
+    """Random matrices plus ones with repeated or zero eigenvalues."""
+    yield rng.integers(0, q, size=(d, d))
+    yield rng.integers(0, 2, size=(d, d))
+    yield np.zeros((d, d), dtype=np.int64)
+    yield int(rng.integers(0, q)) * np.eye(d, dtype=np.int64)
+    yield np.eye(d, k=1, dtype=np.int64)                  # nilpotent
+    u, v = rng.integers(0, q, size=(2, d, 1))
+    yield u @ v.T                                         # rank <= 1
+    yield np.eye(d, dtype=np.int64)[rng.permutation(d)]
+
+
+@pytest.mark.parametrize("q", [7, 11, 101, 28229, 1000003])
+def test_charpoly_matches_interpolation(q):
+    rng = np.random.default_rng(q)
+    for d in range(min(13, q - 1) + 1):
+        for _ in range(4):
+            for A in _charpoly_inputs(d, q, rng):
+                want = interpolated_charpoly(A, q)
+                assert modlinalg.charpoly(A, q) == want, (d, A.tolist())
+
+
+def test_charpoly_needs_every_dimension_invertible():
+    q = 7
+    assert modlinalg.charpoly(np.eye(q - 1, dtype=np.int64), q) == \
+        interpolated_charpoly(np.eye(q - 1, dtype=np.int64), q)
+    with pytest.raises(TableConstructionFailed, match="needs q > 7"):
+        modlinalg.charpoly(np.eye(q, dtype=np.int64), q)
 
 
 def test_root_splitting_stops_at_its_proved_bound(monkeypatch):

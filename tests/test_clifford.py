@@ -86,7 +86,7 @@ def test_gamma_builds_run_no_charpoly(monkeypatch):
         pk = prime_power(G.order)
         if pk:
             for e in (0, 1):
-                build_gamma_poset(G, pk[0], e, ctx=CharContext(G))
+                build_gamma_poset(G, pk[0], e)
 
 
 def test_whole_group_has_one_cache_entry():

@@ -14,7 +14,6 @@ from charposet.errors import (
     PreconditionViolated,
 )
 from charposet.gamma import (
-    build_gamma_poset,
     gamma_poset,
     has_strongly_embedded_subgroup,
     s_node_images,
@@ -31,6 +30,8 @@ from util import (
     cached_group,
     check_component_projection,
     conjugated_node_images,
+    five_conditions,
+    full_comparability_partition,
     subgroup_reaches_all_components,
 )
 
@@ -83,22 +84,21 @@ def test_x_of_sylow():
 def test_cover_edges_match_full_comparability(text, p, e):
     G = cached_group(text)
     covers = gamma_poset(G, p, e)
-    full = build_gamma_poset(G, p, e, full_comparability=True)
-    assert covers.partition.count == full.partition.count
-    assert covers.partition.component_of == full.partition.component_of
+    full = full_comparability_partition(G, p, e)
+    assert covers.partition.count == full.count
+    assert covers.partition.component_of == full.component_of
 
 
 def test_strongly_embedded_a5():
     G = cached_group("A(5)")
     M = next(s for s in all_subgroups(G) if s.order == 12)
-    for c in (1, 2, 3, 4, 5):
-        assert strongly_embedded_check(G, 2, 0, M, c)
+    assert five_conditions(G, 2, 0, M) == [True] * 5
 
 
 def test_strongly_embedded_small_order_fails_divisibility():
     G = cached_group("A(5)")
     M = next(s for s in all_subgroups(G) if s.order == 3)
-    assert not strongly_embedded_check(G, 2, 0, M, 5)
+    assert not strongly_embedded_check(G, 2, 0, M)
 
 
 def test_s4_has_no_strongly_embedded_subgroup():
@@ -139,9 +139,9 @@ def test_strongly_embedded_preconditions():
     whole = next(s for s in all_subgroups(G) if s.order == 60)
     M = next(s for s in all_subgroups(G) if s.order == 12)
     with pytest.raises(PreconditionViolated):
-        strongly_embedded_check(G, 2, 0, whole, 5)
+        strongly_embedded_check(G, 2, 0, whole)
     with pytest.raises(PreconditionViolated):
-        strongly_embedded_check(G, 7, 0, M, 5)
+        strongly_embedded_check(G, 7, 0, M)
 
 
 @pytest.mark.parametrize("text,p,e", [
@@ -156,8 +156,7 @@ def test_five_conditions_agree(text, p, e):
     for M in all_subgroups(G):
         if M.order == G.order:
             continue
-        answers = {strongly_embedded_check(G, p, e, M, c)
-                   for c in (1, 2, 3, 4, 5)}
+        answers = set(five_conditions(G, p, e, M))
         assert len(answers) == 1, (text, p, e, M.members)
 
 
@@ -240,29 +239,32 @@ def test_disconnection_direction_for_higher_e():
 
 
 def test_scan_nontrivial_i():
-    roster = ["C(4)", "E(2,2)", "C(8)", "C(4) x C(2)", "D(4)", "Q(8)",
-              "E(2,3)"]
+    roster = [cached_group(t) for t in ("C(4)", "E(2,2)", "C(8)",
+                                        "C(4) x C(2)", "D(4)", "Q(8)",
+                                        "E(2,3)")]
     results, errors = scan_nontrivial_I(roster, 2, 2)
     assert errors == []
     assert dict(results) == {"C(4)": 4, "E(2,2)": 4, "C(8)": 4,
                              "C(4) x C(2)": 2, "D(4)": 2, "Q(8)": 2}
-    results, errors = scan_nontrivial_I(["C(9)", "E(3,2)", "X(3,+)"], 3, 2)
+    roster = [cached_group(t) for t in ("C(9)", "E(3,2)", "X(3,+)")]
+    results, errors = scan_nontrivial_I(roster, 3, 2)
     assert errors == []
     assert dict(results) == {"C(9)": 9, "E(3,2)": 9, "X(3,+)": 3}
     assert scan_nontrivial_I([], 2, 2) == ([], [])
 
 
 def test_scan_collects_errors_per_entry():
-    results, errors = scan_nontrivial_I(["C(4)", "S(3)", "C("], 2, 2)
+    roster = [cached_group("C(4)"), cached_group("S(3)")]
+    results, errors = scan_nontrivial_I(roster, 2, 2)
     assert dict(results) == {"C(4)": 4}
-    assert len(errors) == 2
+    assert len(errors) == 1
 
 
 def test_scan_reports_failed_cross_check_by_its_typed_name(monkeypatch):
     wrong = SimpleNamespace(partition=SimpleNamespace(count=999))
     monkeypatch.setattr(charposet.gamma, "gamma_poset",
                         lambda G, p, e: wrong)
-    results, errors = scan_nontrivial_I(["C(4)"], 2, 2)
+    results, errors = scan_nontrivial_I([cached_group("C(4)")], 2, 2)
     assert results == []
     assert errors == [("C(4)", "CrossCheckFailed: |I| = 4 but Gamma(p,1) "
                        "has 999 components")]
@@ -275,7 +277,7 @@ def test_scan_does_not_report_programming_errors_as_bad_entries(monkeypatch):
     monkeypatch.setattr(charposet.gamma, "common_intersection_of_order",
                         broken)
     with pytest.raises(ZeroDivisionError):
-        scan_nontrivial_I(["C(4)"], 2, 2)
+        scan_nontrivial_I([cached_group("C(4)")], 2, 2)
 
 
 def test_derived_data_is_freed_with_its_table():

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 import charposet.group as group_module
 from charposet.catalog import catalog_roster, realize
 from charposet.errors import NotASubgroup
-from charposet.gamma import gamma_poset, s_component_action, s_poset, verify
+from charposet.gamma import (
+    gamma_poset,
+    s_component_action,
+    s_node_images,
+    s_poset,
+    verify,
+)
 from charposet.group import (
     center,
     closure_members,
@@ -16,7 +22,12 @@ from charposet.group import (
     normalizer,
     whole_group_subgroup,
 )
-from util import DIFFERENTIAL_GROUPS, cached_group, induced_table
+from util import (
+    DIFFERENTIAL_GROUPS,
+    cached_group,
+    check_node_action,
+    induced_table,
+)
 
 SMALL_CATALOG = tuple(catalog_roster(max_order=24))
 
@@ -45,8 +56,9 @@ def test_node_and_normalizer_tables_match_oracle(text):
 @pytest.mark.parametrize("text", ["A(6)", "PSL(2,8)", "PSL(2,11)"])
 @pytest.mark.parametrize("p", [2, 3])
 def test_component_stabilizer_tables_match_oracle(text, p):
-    act = s_component_action(s_poset(cached_group(text), p, 0))
-    _assert_table_matches_oracle(act.stabilizer)
+    spos = s_poset(cached_group(text), p, 0)
+    check_node_action(spos.group, s_node_images(spos), spos.lattice.covers)
+    _assert_table_matches_oracle(s_component_action(spos).stabilizer)
 
 
 @pytest.mark.parametrize("text", ["C(1)", "S(3)", "D(4)", "A(6)"])

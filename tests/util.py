@@ -9,12 +9,21 @@ import numpy as np
 from charposet.catalog import catalog_roster, realize
 from charposet.chartab import _primitive_root
 from charposet.errors import (
+    ActionNotCompatible,
     CharposetError,
     ClosureCapExceeded,
     ContextMismatch,
     NotASubgroup,
+    PreconditionViolated,
+    TableConstructionFailed,
 )
-from charposet.gamma import strongly_embedded_check
+from charposet.gamma import (
+    char_context,
+    restriction_multiplicities,
+    s_component_action,
+    s_poset,
+    strongly_embedded_check,
+)
 from charposet.group import (
     GroupTable,
     PSubgroupLattice,
@@ -24,9 +33,18 @@ from charposet.group import (
     is_p_power,
     make_subgroup,
     normalizer,
+    p_valuation,
     table_from_mul,
 )
-from charposet.modlinalg import inv_mod
+from charposet.modlinalg import (
+    inv_mod,
+    poly_add,
+    poly_divmod,
+    poly_mul,
+    poly_scale,
+    poly_trim,
+)
+from charposet.poset import components
 
 # The catalog plus the largest groups the engine handles: the groups on
 # which the generator-based fast paths are checked against their oracles.
@@ -90,8 +108,165 @@ def brute_force_has_strongly_embedded(G, p, e):
     """Condition 5 tested on every proper subgroup of G."""
     pe1 = p ** (e + 1)
     return any(M.order < G.order and M.order % pe1 == 0
-               and strongly_embedded_check(G, p, e, M, 5)
+               and strongly_embedded_check(G, p, e, M)
                for M in all_subgroups(G))
+
+
+def _p_nodes_inside(lat, member_set):
+    return [i for i, sub in enumerate(lat.nodes)
+            if sub.member_set <= member_set]
+
+
+def strong_embedding_condition(G, p, e, M, condition):
+    """Evaluate one of conditions 1-4, each equivalent to condition 5
+    (`strongly_embedded_check`) by Quillen 1978, Prop. 5.2.
+
+    The conditions characterize the stabilizer of a component of S(p, e):
+    (1) containment of some component stabilizer; (2) Sylow-local normalizer
+    trapping; (3) normalizer trapping inside M; (4) Sylow normalizer plus
+    p-overgroup closure.
+    """
+    if M.parent is not G or M.order == G.order:
+        raise PreconditionViolated("M must be a proper subgroup of G")
+    if p_valuation(G.order, p) <= e:
+        raise PreconditionViolated(f"p^{e + 1} does not divide |G|")
+    pe1 = p ** (e + 1)
+    spos = s_poset(G, p, e)
+    lat = spos.lattice
+
+    if condition == 1:
+        img = s_component_action(spos).component_image
+        return any(M.mask[np.flatnonzero(img[:, c] == c)].all()
+                   for c in range(spos.partition.count))
+
+    if condition == 2:
+        for sid in lat.sylow_ids:
+            S = lat.nodes[sid]
+            if all(normalizer(G, lat.nodes[i]).member_set <= M.member_set
+                   for i in _p_nodes_inside(lat, S.member_set)):
+                return True
+        return False
+
+    if condition == 3:
+        if M.order % pe1:
+            return False
+        return all(normalizer(G, lat.nodes[i]).member_set <= M.member_set
+                   for i in _p_nodes_inside(lat, M.member_set))
+
+    if condition == 4:
+        if not any(normalizer(G, lat.nodes[sid]).member_set <= M.member_set
+                   for sid in lat.sylow_ids):
+            return False
+        for i in _p_nodes_inside(lat, M.member_set):
+            small = lat.nodes[i].member_set
+            for j, Q in enumerate(lat.nodes):
+                if small <= Q.member_set and \
+                        not Q.member_set <= M.member_set:
+                    return False
+        return True
+
+    raise PreconditionViolated(f"condition must be 1..4, got {condition}")
+
+
+def five_conditions(G, p, e, M):
+    """Conditions 1-4 from the oracle above and condition 5 from the library."""
+    return [strong_embedding_condition(G, p, e, M, c) for c in (1, 2, 3, 4)] \
+        + [strongly_embedded_check(G, p, e, M)]
+
+
+def check_node_action(G, node_image, edges):
+    """Validate node_image[g][v], the image of node v under g, as an action.
+
+    Each map must permute the nodes and preserve every given edge, and the
+    maps must be compatible with the multiplication table; a failure raises
+    ActionNotCompatible.
+    """
+    img = np.asarray(node_image)
+    n = img.shape[1]
+    permutes = (np.sort(img, axis=1) == np.arange(n)).all(axis=1)
+    # an undirected edge {a, b} is keyed as min * n + max, in int64
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    keys = np.unique(ends.min(axis=1) * n + ends.max(axis=1))
+    a, b = (img[:, ends[:, k]].astype(np.int64) for k in (0, 1))
+    images = np.minimum(a, b) * n + np.maximum(a, b)
+    preserves = np.isin(images, keys).all(axis=1)
+    bad = np.flatnonzero(~(permutes & preserves))
+    if bad.size:
+        g = int(bad[0])
+        what = "preserve edges" if permutes[g] else "permute the nodes"
+        raise ActionNotCompatible(f"element {g} does not {what}")
+    # homomorphism spot-check: all g against a bounded slice of h keeps
+    # validation near-linear in |G| while still catching orientation bugs
+    for h in range(min(G.order, 8)):
+        if (img[h][img] != img[G.mul[:, h]]).any():
+            raise ActionNotCompatible(
+                "node maps are not compatible with multiplication")
+
+
+def full_comparability_partition(G, p, e):
+    """Gamma(p, e)'s partition with edges over every comparable pair H < K
+    of S(p, e), not only the index-p covers."""
+    lat = s_poset(G, p, e).lattice
+    ctx = char_context(G)
+    offsets = np.cumsum([0] + [ctx.table(sub).count for sub in lat.nodes])
+    edges = []
+    for i, H in enumerate(lat.nodes):
+        for j, K in enumerate(lat.nodes):
+            if H.order < K.order and H.member_set <= K.member_set:
+                M = restriction_multiplicities(ctx, H, K)
+                edges.extend((int(offsets[i]) + int(a), int(offsets[j]) + int(b))
+                             for a, b in zip(*np.nonzero(M)))
+    return components(int(offsets[-1]), edges)
+
+
+def det_mod(A, q):
+    A = np.array(A, dtype=np.int64) % q
+    n = A.shape[0]
+    det = 1
+    for c in range(n):
+        hits = np.flatnonzero(A[c:, c])
+        if hits.size == 0:
+            return 0
+        k = c + int(hits[0])
+        if k != c:
+            A[[c, k]] = A[[k, c]]
+            det = (-det) % q
+        det = (det * A[c, c]) % q
+        inv = inv_mod(A[c, c], q)
+        A[c] = (A[c] * inv) % q
+        below = np.flatnonzero(A[c + 1:, c]) + c + 1
+        if below.size:
+            A[below] = (A[below] - np.outer(A[below, c], A[c])) % q
+    return int(det)
+
+
+def poly_eval(f, x, q):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % q
+    return acc
+
+
+def interpolated_charpoly(A, q):
+    """Characteristic polynomial det(xI - A) mod q, by interpolation."""
+    A = np.asarray(A, dtype=np.int64) % q
+    d = A.shape[0]
+    xs = list(range(d + 1))
+    eye = np.eye(d, dtype=np.int64)
+    ys = [det_mod((x * eye - A) % q, q) for x in xs]
+    # Lagrange interpolation on d+1 points
+    master = [1]
+    for x in xs:
+        master = poly_mul(master, [(-x) % q, 1], q)
+    out = [0]
+    for x, y in zip(xs, ys):
+        li, rem = poly_divmod(master, [(-x) % q, 1], q)
+        if rem != [0]:
+            raise TableConstructionFailed(
+                "interpolation node is not a root of the master polynomial")
+        denom = poly_eval(li, x, q)
+        out = poly_add(out, poly_scale(li, y * inv_mod(denom, q) % q, q), q)
+    return poly_trim(out)
 
 
 def composition_closure(degree, gens, cap):
