@@ -89,20 +89,42 @@ def test_parse_errors_carry_offsets():
         parse_group_expr("C(4) junk")
 
 
-@pytest.mark.parametrize("text", [
-    "C(0)", "E(4,2)", "Q(6)", "Q(12)", "SD(8)", "M(2,3)", "M(4,3)",
-    "X(6,+)", "A(2)", "PSL(3,2)", "SL(2,4)", "C(2048)", "Q(2048)",
+# expected exception type and offset of each rejected expression
+_DOMAIN_ERRORS = {
+    "C(0)": (ParameterOutOfRange, 2), "E(4,2)": (ParameterOutOfRange, 2),
+    "Q(6)": (ParameterOutOfRange, 2), "Q(12)": (ParameterOutOfRange, 2),
+    "SD(8)": (ParameterOutOfRange, 3), "M(2,3)": (ParameterOutOfRange, 4),
+    "M(4,3)": (ParameterOutOfRange, 2), "X(6,+)": (ParameterOutOfRange, 2),
+    "A(2)": (ParameterOutOfRange, 2), "PSL(3,2)": (ParameterOutOfRange, 4),
+    "SL(2,4)": (ParameterOutOfRange, 5), "C(2048)": (ParameterOutOfRange, 2),
+    "Q(2048)": (ParameterOutOfRange, 2),
     # 2^61 - 1 is prime: the order cap must reject it before trial division
-    "PSL(2,2305843009213693951)", "E(2305843009213693951,1)",
-    "X(2305843009213693951,+)", "M(2305843009213693951,3)",
-    "SL(2,2305843009213693951)",
+    "PSL(2,2305843009213693951)": (ParameterOutOfRange, 6),
+    "E(2305843009213693951,1)": (ParameterOutOfRange, 2),
+    "X(2305843009213693951,+)": (ParameterOutOfRange, 2),
+    "M(2305843009213693951,3)": (ParameterOutOfRange, 2),
+    "SL(2,2305843009213693951)": (ParameterOutOfRange, 5),
     # huge exponents or degrees must not be raised to a power or factorial
-    "E(2,2305843009213693951)", "M(2,2305843009213693951)",
-    "S(2305843009213693951)", "A(2305843009213693951)",
-])
+    "E(2,2305843009213693951)": (ParameterOutOfRange, 4),
+    "M(2,2305843009213693951)": (ParameterOutOfRange, 4),
+    "S(2305843009213693951)": (ParameterOutOfRange, 2),
+    "A(2305843009213693951)": (ParameterOutOfRange, 2),
+    # a sign argument that is not a sign
+    "X(3,3)": (GroupSyntaxError, 4), "X(3,*)": (GroupSyntaxError, 4),
+    # the lower bound of a second argument, and orders past the cap
+    "E(2,0)": (ParameterOutOfRange, 4), "M(3,2)": (ParameterOutOfRange, 4),
+    "PSL(2,6)": (ParameterOutOfRange, 6), "SL(3,2)": (ParameterOutOfRange, 3),
+    "D(513)": (ParameterOutOfRange, 2), "S(7)": (ParameterOutOfRange, 2),
+}
+
+
+@pytest.mark.parametrize("text", list(_DOMAIN_ERRORS))
 def test_parameter_domain_errors(text):
-    with pytest.raises(ParameterOutOfRange):
+    error, offset = _DOMAIN_ERRORS[text]
+    with pytest.raises(error) as exc:
         parse_group_expr(text)
+    assert type(exc.value) is error
+    assert exc.value.offset == offset
 
 
 @given(st.integers(1, 30), st.integers(1, 15))
