@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 from math import factorial, gcd, prod
 
-from .chartab import validate_semidirect
 from .errors import (
     ConstructionContractViolated,
     GroupSyntaxError,
@@ -29,6 +28,7 @@ from .group import (
     make_subgroup,
     order_cap,
     prime_power,
+    validate_semidirect,
 )
 from .modlinalg import poly_divmod, poly_mul
 
@@ -100,103 +100,18 @@ def cycles_string(img):
 
 # --- abstract syntax ------------------------------------------------------
 
-class GroupExpr:
-    """Base class of group-expression AST nodes."""
-
-
 @dataclass(frozen=True)
-class Cyclic(GroupExpr):
-    n: int
+class Named:
+    """A named family applied to its arguments: Named("PSL", (2, 7))."""
+    name: str
+    args: tuple
 
     def __str__(self):
-        return f"C({self.n})"
+        return f"{self.name}({','.join(map(str, self.args))})"
 
 
 @dataclass(frozen=True)
-class ElemAbelian(GroupExpr):
-    p: int
-    k: int
-
-    def __str__(self):
-        return f"E({self.p},{self.k})"
-
-
-@dataclass(frozen=True)
-class Dihedral(GroupExpr):
-    n: int          # order is 2n
-
-    def __str__(self):
-        return f"D({self.n})"
-
-
-@dataclass(frozen=True)
-class GenQuaternion(GroupExpr):
-    m: int          # order, a power of 2, >= 8
-
-    def __str__(self):
-        return f"Q({self.m})"
-
-
-@dataclass(frozen=True)
-class SemiDihedral(GroupExpr):
-    m: int          # order, a power of 2, >= 16
-
-    def __str__(self):
-        return f"SD({self.m})"
-
-
-@dataclass(frozen=True)
-class ModularMaxCyclic(GroupExpr):
-    p: int
-    n: int          # order p^n
-
-    def __str__(self):
-        return f"M({self.p},{self.n})"
-
-
-@dataclass(frozen=True)
-class Extraspecial(GroupExpr):
-    p: int
-    sign: str       # "+" or "-"
-
-    def __str__(self):
-        return f"X({self.p},{self.sign})"
-
-
-@dataclass(frozen=True)
-class Sym(GroupExpr):
-    n: int
-
-    def __str__(self):
-        return f"S({self.n})"
-
-
-@dataclass(frozen=True)
-class Alt(GroupExpr):
-    n: int
-
-    def __str__(self):
-        return f"A({self.n})"
-
-
-@dataclass(frozen=True)
-class PSL2(GroupExpr):
-    q: int
-
-    def __str__(self):
-        return f"PSL(2,{self.q})"
-
-
-@dataclass(frozen=True)
-class SL2(GroupExpr):
-    p: int
-
-    def __str__(self):
-        return f"SL(2,{self.p})"
-
-
-@dataclass(frozen=True)
-class Perm(GroupExpr):
+class Perm:
     degree: int
     gens: tuple     # image tuples
 
@@ -206,7 +121,7 @@ class Perm(GroupExpr):
 
 
 @dataclass(frozen=True)
-class SemidirectByPerms(GroupExpr):
+class SemidirectByPerms:
     degree: int
     gens: tuple
     normal_gens: tuple
@@ -220,7 +135,7 @@ class SemidirectByPerms(GroupExpr):
 
 
 @dataclass(frozen=True)
-class Product(GroupExpr):
+class Product:
     factors: tuple
 
     def __str__(self):
@@ -236,7 +151,10 @@ def format_expr(expr):
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z]+)|(?P<sym>[(),\[\]:;+\-]))")
 
-_CTORS = {"C", "E", "D", "Q", "SD", "M", "X", "S", "A", "PSL", "SL"}
+# argument kinds of each named family: n a number, s a sign
+_SIGNATURES = {"C": "n", "E": "nn", "D": "n", "Q": "n", "SD": "n", "M": "nn",
+               "X": "ns", "S": "n", "A": "n", "PSL": "nn", "SL": "nn"}
+_CTORS = set(_SIGNATURES)
 
 
 def _tokenize(text):
@@ -314,7 +232,7 @@ class _Parser:
                                      _CTORS | {"perm", "sd"})
         self.take()
         self.take("sym", "(")
-        node = self.parse_ctor(name, off)
+        node = self.parse_ctor(name)
         self.take("sym", ")")
         return node
 
@@ -322,92 +240,24 @@ class _Parser:
         tok = self.take("num", expected="number")
         return tok[1], tok[2]
 
-    def parse_ctor(self, name, off):
-        if name == "C":
-            n, o = self._num()
-            if n < 1 or n > order_cap():
-                raise ParameterOutOfRange(f"C({n}) out of range", o)
-            return Cyclic(n)
-        if name == "E":
-            p, o = self._num()
-            self.take("sym", ",")
-            k, o2 = self._num()
-            if p > order_cap():
-                raise ParameterOutOfRange(f"E({p},{k}) out of range", o)
-            if not is_prime(p):
-                raise ParameterOutOfRange(f"E needs a prime, got {p}", o)
-            if k < 1 or k > order_cap() or p ** k > order_cap():
-                raise ParameterOutOfRange(f"E({p},{k}) out of range", o2)
-            return ElemAbelian(p, k)
-        if name == "D":
-            n, o = self._num()
-            if n < 1 or 2 * n > order_cap():
-                raise ParameterOutOfRange(f"D({n}) out of range", o)
-            return Dihedral(n)
-        if name == "Q":
-            m, o = self._num()
-            if m < 8 or m & (m - 1) or m > order_cap():
-                raise ParameterOutOfRange(
-                    f"Q needs a power of 2 that is >= 8, got {m}", o)
-            return GenQuaternion(m)
-        if name == "SD":
-            m, o = self._num()
-            if m < 16 or m & (m - 1) or m > order_cap():
-                raise ParameterOutOfRange(
-                    f"SD needs a power of 2 that is >= 16, got {m}", o)
-            return SemiDihedral(m)
-        if name == "M":
-            p, o = self._num()
-            self.take("sym", ",")
-            n, o2 = self._num()
-            if p > order_cap():
-                raise ParameterOutOfRange(f"M({p},{n}) out of range", o)
-            if not is_prime(p):
-                raise ParameterOutOfRange(f"M needs a prime, got {p}", o)
-            if n < 3 or (p, n) == (2, 3) or n > order_cap() or \
-                    p ** n > order_cap():
-                raise ParameterOutOfRange(f"M({p},{n}) out of range", o2)
-            return ModularMaxCyclic(p, n)
-        if name == "X":
-            p, o = self._num()
-            self.take("sym", ",")
-            sign_tok = self.take("sym", expected="'+' or '-'")
-            if sign_tok[1] not in "+-":
-                raise GroupSyntaxError("expected '+' or '-'", sign_tok[2],
-                                       {"+", "-"})
-            if p ** 3 > order_cap() or not is_prime(p):
-                raise ParameterOutOfRange(f"X({p},..) out of range", o)
-            return Extraspecial(p, sign_tok[1])
-        if name == "S":
-            n, o = self._num()
-            if n < 1 or n > order_cap() or factorial(n) > order_cap():
-                raise ParameterOutOfRange(f"S({n}) out of range", o)
-            return Sym(n)
-        if name == "A":
-            n, o = self._num()
-            if n < 3 or n > order_cap() or factorial(n) // 2 > order_cap():
-                raise ParameterOutOfRange(f"A({n}) out of range", o)
-            return Alt(n)
-        if name == "PSL":
-            two, o = self._num()
-            self.take("sym", ",")
-            qq, o2 = self._num()
-            if two != 2:
-                raise ParameterOutOfRange("only PSL(2,q) is supported", o)
-            if qq < 2 or qq * (qq * qq - 1) // gcd(2, qq - 1) > order_cap() \
-                    or prime_power(qq) is None:
-                raise ParameterOutOfRange(f"PSL(2,{qq}) out of range", o2)
-            return PSL2(qq)
-        if name == "SL":
-            two, o = self._num()
-            self.take("sym", ",")
-            p, o2 = self._num()
-            if two != 2:
-                raise ParameterOutOfRange("only SL(2,p) is supported", o)
-            if p * (p * p - 1) > order_cap() or not is_prime(p):
-                raise ParameterOutOfRange(f"SL(2,{p}) out of range", o2)
-            return SL2(p)
-        raise UnknownConstructor(f"unknown constructor {name!r}", off, _CTORS)
+    def parse_ctor(self, name):
+        args, offsets = [], []
+        for i, kind in enumerate(_SIGNATURES[name]):
+            if i:
+                self.take("sym", ",")
+            if kind == "n":
+                arg, off = self._num()
+            else:
+                _, arg, off = self.take("sym", expected="'+' or '-'")
+                if arg not in "+-":
+                    raise GroupSyntaxError("expected '+' or '-'", off,
+                                           {"+", "-"})
+            args.append(arg)
+            offsets.append(off)
+        bad = _out_of_range(name, args)
+        if bad is not None:
+            raise ParameterOutOfRange(bad[1], offsets[bad[0]])
+        return Named(name, tuple(args))
 
     def _raw_until(self, stops):
         """Consume raw text until one of the stop symbols at this nest level."""
@@ -464,6 +314,56 @@ class _Parser:
             self._parse_perm_list(raw_h, degree, off_h),
             self._parse_perm_list(raw_k, degree, off_k),
         )
+
+
+def _out_of_range(name, args):
+    """Index and message of the first argument outside its family's domain.
+
+    An argument is bounded before any power, factorial or primality test of
+    it, so a huge argument costs nothing. Exponents and degrees are bounded
+    by the cap's bit length b: 2^k > cap for k >= b, n! >= 2^(n-1) and
+    n!/2 >= 2^(n-2) (n >= 3), so these bounds reject only what the order
+    check would.
+    """
+    cap = order_cap()
+    bits = cap.bit_length()
+    a, b = args[0], args[-1]
+    if name == "C":
+        if not 1 <= a <= cap:
+            return 0, f"C({a}) out of range"
+    elif name == "D":
+        if not 1 <= 2 * a <= cap:
+            return 0, f"D({a}) out of range"
+    elif name == "S":
+        if not (1 <= a <= bits and factorial(a) <= cap):
+            return 0, f"S({a}) out of range"
+    elif name == "A":
+        if not (3 <= a <= bits + 1 and factorial(a) // 2 <= cap):
+            return 0, f"A({a}) out of range"
+    elif name in ("Q", "SD"):
+        least = 8 if name == "Q" else 16
+        if a < least or a & (a - 1) or a > cap:
+            return 0, f"{name} needs a power of 2 that is >= {least}, got {a}"
+    elif name in ("E", "M"):
+        if a > cap:
+            return 0, f"{name}({a},{b}) out of range"
+        if not is_prime(a):
+            return 0, f"{name} needs a prime, got {a}"
+        least = 1 if name == "E" else 4 if a == 2 else 3
+        if not least <= b <= bits or a ** b > cap:
+            return 1, f"{name}({a},{b}) out of range"
+    elif name == "X":
+        if a ** 3 > cap or not is_prime(a):
+            return 0, f"X({a},..) out of range"
+    elif name in ("PSL", "SL"):
+        if a != 2:
+            return 0, f"only {name}(2,q) is supported, got {name}({a},{b})"
+        if name == "PSL" and (b < 2 or b * (b * b - 1) // gcd(2, b - 1) > cap
+                              or prime_power(b) is None):
+            return 1, f"PSL(2,{b}) out of range"
+        if name == "SL" and (b * (b * b - 1) > cap or not is_prime(b)):
+            return 1, f"SL(2,{b}) out of range"
+    return None
 
 
 def _split_commas(raw, offset):
@@ -586,135 +486,8 @@ def _realize_sl2(p):
 
 
 def realize_group(expr):
-    """Realize a GroupExpr as a GroupTable and verify its family contract."""
+    """Realize a group expression as a GroupTable and check its contract."""
     label = str(expr)
-
-    if isinstance(expr, Cyclic):
-        n = expr.n
-        G = group_from_generators(n, [_cyc(n, tuple(range(n)))] if n > 1 else [],
-                                  label=label)
-        _contract(G.order == n and (n == 1 or (G.elem_order == n).any()),
-                  "not cyclic of the right order", label)
-        return G
-
-    if isinstance(expr, ElemAbelian):
-        # built as an iterated table product so the direct-factor metadata
-        # needed by direct-product arguments is available downstream
-        p, k = expr.p, expr.k
-        G = realize_group(Cyclic(p))
-        for _ in range(k - 1):
-            G = direct_table_product(G, realize_group(Cyclic(p)))
-        G = dataclasses.replace(G, label=label)
-        _contract(G.order == p ** k and G.is_abelian()
-                  and G.exponent() == p, "not elementary abelian", label)
-        return G
-
-    if isinstance(expr, Dihedral):
-        n = expr.n
-        if n == 1:
-            G = group_from_generators(2, [(1, 0)], label=label)
-        elif n == 2:
-            G = group_from_generators(4, [(1, 0, 2, 3), (0, 1, 3, 2)],
-                                      label=label)
-        else:
-            rot = _cyc(n, tuple(range(n)))
-            refl = tuple((n - i) % n for i in range(n))
-            G = group_from_generators(n, [rot, refl], label=label)
-        _contract(G.order == 2 * n and (n <= 2 or not G.is_abelian())
-                  and (G.elem_order == n).any(), "not dihedral", label)
-        return G
-
-    if isinstance(expr, GenQuaternion):
-        m = expr.m
-        h = m // 2
-        def mult(x, y):
-            i, j = x % h, x // h
-            kk, l = y % h, y // h
-            if j == 0:
-                return (i + kk) % h + h * l
-            if l == 0:
-                return (i - kk) % h + h
-            return (i - kk + h // 2) % h
-        gens = _regular_perms(m, mult, [1, h])
-        G = group_from_generators(m, gens, label=label)
-        _contract(G.order == m and _involutions(G) == 1
-                  and not G.is_abelian() and (G.elem_order == h).any(),
-                  "not generalized quaternion", label)
-        return G
-
-    if isinstance(expr, SemiDihedral):
-        m = expr.m
-        h = m // 2
-        r = h // 2 - 1
-        a = tuple((x + 1) % h for x in range(h))
-        b = tuple(r * x % h for x in range(h))
-        G = group_from_generators(h, [a, b], label=label)
-        _contract(G.order == m and not G.is_abelian()
-                  and (G.elem_order == h).any()
-                  and _involutions(G) == m // 4 + 1, "not semidihedral", label)
-        return G
-
-    if isinstance(expr, ModularMaxCyclic):
-        G = _realize_modular(expr.p, expr.n, label)
-        return G
-
-    if isinstance(expr, Extraspecial):
-        p = expr.p
-        if p == 2:
-            base = Dihedral(4) if expr.sign == "+" else GenQuaternion(8)
-            G = realize_group(base)
-            G = dataclasses.replace(G, label=label)
-        elif expr.sign == "+":
-            def mult(x, y):
-                a, b, c = x % p, x // p % p, x // (p * p)
-                a2, b2, c2 = y % p, y // p % p, y // (p * p)
-                return ((a + a2) % p + p * ((b + b2) % p)
-                        + p * p * ((c + c2 + a * b2) % p))
-            gens = _regular_perms(p ** 3, mult, [1, p])
-            G = group_from_generators(p ** 3, gens, label=label)
-        else:
-            G = _realize_modular(p, 3, label)
-        exp_expected = (4 if expr.sign == "+" else 4) if p == 2 else \
-            (p if expr.sign == "+" else p * p)
-        _contract(G.order == p ** 3 and not G.is_abelian()
-                  and center(G).order == p
-                  and G.exponent() == exp_expected,
-                  "not the claimed extraspecial group", label)
-        return G
-
-    if isinstance(expr, Sym):
-        n = expr.n
-        if n == 1:
-            G = group_from_generators(1, [], label=label)
-        elif n == 2:
-            G = group_from_generators(2, [(1, 0)], label=label)
-        else:
-            G = group_from_generators(
-                n, [_cyc(n, (0, 1)), _cyc(n, tuple(range(n)))], label=label)
-        _contract(G.order == factorial(n), "wrong order for Sym", label)
-        return G
-
-    if isinstance(expr, Alt):
-        n = expr.n
-        gens = [_cyc(n, (0, 1, i)) for i in range(2, n)]
-        G = group_from_generators(n, gens, label=label)
-        _contract(G.order == factorial(n) // 2, "wrong order for Alt", label)
-        return G
-
-    if isinstance(expr, PSL2):
-        G = _realize_psl2(expr.q)
-        expected = expr.q * (expr.q ** 2 - 1) // gcd(2, expr.q - 1)
-        _contract(G.order == expected, "wrong order for PSL(2,q)", label)
-        return G
-
-    if isinstance(expr, SL2):
-        G = _realize_sl2(expr.p)
-        expected = expr.p * (expr.p ** 2 - 1)
-        _contract(G.order == expected
-                  and (expr.p == 2 or _involutions(G) == 1),
-                  "wrong structure for SL(2,p)", label)
-        return G
-
     if isinstance(expr, Perm):
         return group_from_generators(expr.degree, expr.gens, label=label)
 
@@ -747,7 +520,136 @@ def realize_group(expr):
                   "wrong product order", label)
         return out
 
-    raise TypeError(f"not a GroupExpr: {expr!r}")
+    if not isinstance(expr, Named):
+        raise TypeError(f"not a group expression: {expr!r}")
+    name, args = expr.name, expr.args
+
+    if name == "C":
+        n, = args
+        G = group_from_generators(n, [_cyc(n, tuple(range(n)))] if n > 1 else [],
+                                  label=label)
+        _contract(G.order == n and (n == 1 or (G.elem_order == n).any()),
+                  "not cyclic of the right order", label)
+        return G
+
+    if name == "E":
+        # built as an iterated table product so the direct-factor metadata
+        # needed by direct-product arguments is available downstream
+        p, k = args
+        G = realize_group(Named("C", (p,)))
+        for _ in range(k - 1):
+            G = direct_table_product(G, realize_group(Named("C", (p,))))
+        G = dataclasses.replace(G, label=label)
+        _contract(G.order == p ** k and G.is_abelian()
+                  and G.exponent() == p, "not elementary abelian", label)
+        return G
+
+    if name == "D":
+        n, = args
+        if n == 1:
+            G = group_from_generators(2, [(1, 0)], label=label)
+        elif n == 2:
+            G = group_from_generators(4, [(1, 0, 2, 3), (0, 1, 3, 2)],
+                                      label=label)
+        else:
+            rot = _cyc(n, tuple(range(n)))
+            refl = tuple((n - i) % n for i in range(n))
+            G = group_from_generators(n, [rot, refl], label=label)
+        _contract(G.order == 2 * n and (n <= 2 or not G.is_abelian())
+                  and (G.elem_order == n).any(), "not dihedral", label)
+        return G
+
+    if name == "Q":
+        m, = args
+        h = m // 2
+        def mult(x, y):
+            i, j = x % h, x // h
+            kk, l = y % h, y // h
+            if j == 0:
+                return (i + kk) % h + h * l
+            if l == 0:
+                return (i - kk) % h + h
+            return (i - kk + h // 2) % h
+        gens = _regular_perms(m, mult, [1, h])
+        G = group_from_generators(m, gens, label=label)
+        _contract(G.order == m and _involutions(G) == 1
+                  and not G.is_abelian() and (G.elem_order == h).any(),
+                  "not generalized quaternion", label)
+        return G
+
+    if name == "SD":
+        m, = args
+        h = m // 2
+        r = h // 2 - 1
+        a = tuple((x + 1) % h for x in range(h))
+        b = tuple(r * x % h for x in range(h))
+        G = group_from_generators(h, [a, b], label=label)
+        _contract(G.order == m and not G.is_abelian()
+                  and (G.elem_order == h).any()
+                  and _involutions(G) == m // 4 + 1, "not semidihedral", label)
+        return G
+
+    if name == "M":
+        return _realize_modular(*args, label)
+
+    if name == "X":
+        p, sign = args
+        if p == 2:
+            base = Named("D", (4,)) if sign == "+" else Named("Q", (8,))
+            G = realize_group(base)
+            G = dataclasses.replace(G, label=label)
+        elif sign == "+":
+            def mult(x, y):
+                a, b, c = x % p, x // p % p, x // (p * p)
+                a2, b2, c2 = y % p, y // p % p, y // (p * p)
+                return ((a + a2) % p + p * ((b + b2) % p)
+                        + p * p * ((c + c2 + a * b2) % p))
+            gens = _regular_perms(p ** 3, mult, [1, p])
+            G = group_from_generators(p ** 3, gens, label=label)
+        else:
+            G = _realize_modular(p, 3, label)
+        exp_expected = 4 if p == 2 else p if sign == "+" else p * p
+        _contract(G.order == p ** 3 and not G.is_abelian()
+                  and center(G).order == p
+                  and G.exponent() == exp_expected,
+                  "not the claimed extraspecial group", label)
+        return G
+
+    if name == "S":
+        n, = args
+        if n == 1:
+            G = group_from_generators(1, [], label=label)
+        elif n == 2:
+            G = group_from_generators(2, [(1, 0)], label=label)
+        else:
+            G = group_from_generators(
+                n, [_cyc(n, (0, 1)), _cyc(n, tuple(range(n)))], label=label)
+        _contract(G.order == factorial(n), "wrong order for Sym", label)
+        return G
+
+    if name == "A":
+        n, = args
+        gens = [_cyc(n, (0, 1, i)) for i in range(2, n)]
+        G = group_from_generators(n, gens, label=label)
+        _contract(G.order == factorial(n) // 2, "wrong order for Alt", label)
+        return G
+
+    if name == "PSL":
+        q = args[1]
+        G = _realize_psl2(q)
+        expected = q * (q ** 2 - 1) // gcd(2, q - 1)
+        _contract(G.order == expected, "wrong order for PSL(2,q)", label)
+        return G
+
+    if name == "SL":
+        p = args[1]
+        G = _realize_sl2(p)
+        _contract(G.order == p * (p ** 2 - 1)
+                  and (p == 2 or _involutions(G) == 1),
+                  "wrong structure for SL(2,p)", label)
+        return G
+
+    raise TypeError(f"unknown group family: {expr!r}")
 
 
 def _realize_modular(p, n, label):
@@ -788,13 +690,6 @@ CATALOG = (
 )
 
 
-def catalog_roster(max_order=None):
-    """Catalog expression strings, optionally capped by realized order."""
-    if max_order is None:
-        return list(CATALOG)
-    out = []
-    for text in CATALOG:
-        G = realize(text)
-        if G.order <= max_order:
-            out.append(text)
-    return out
+def catalog_roster():
+    """The catalog's expression strings."""
+    return list(CATALOG)

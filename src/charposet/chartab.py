@@ -22,14 +22,12 @@ import numpy as np
 from .errors import (
     ContextMismatch,
     ModulusSearchFailed,
-    NotASemidirectDecomposition,
     NotASubgroup,
     PreconditionViolated,
     TableConstructionFailed,
 )
 from .group import (
     GroupTable,
-    Subgroup,
     is_prime,
     p_lattice,
     prime_power,
@@ -527,39 +525,6 @@ def induce(ctx, H, theta):
             "induction decomposition degrees do not add up")
     return InducedCharacter(values=values, decomposition=decomposition,
                             degree=degree)
-
-
-@dataclass(frozen=True, eq=False)
-class SemidirectStructure:
-    """Validated G = H K with H normal, K a complement; k_of factors g = h k."""
-
-    group: GroupTable
-    h: Subgroup
-    k: Subgroup
-    k_of: np.ndarray
-
-
-def validate_semidirect(G, H, K):
-    if H.parent is not G or K.parent is not G:
-        raise NotASemidirectDecomposition("parts belong to a different group")
-    if H.order * K.order != G.order:
-        raise NotASemidirectDecomposition("|H||K| != |G|")
-    if H.member_set & K.member_set != {0}:
-        raise NotASemidirectDecomposition("parts intersect nontrivially")
-    hmarr = np.array(H.members, dtype=np.int32)
-    for g in range(G.order):
-        if not H.mask[G.conj_set(hmarr, g)].all():
-            raise NotASemidirectDecomposition("H is not normal in G")
-    k_of = np.full(G.order, -1, dtype=np.int32)
-    for h in H.members:
-        for k in K.members:
-            g = int(G.mul[h, k])
-            if k_of[g] >= 0:
-                raise NotASemidirectDecomposition("factorization is not unique")
-            k_of[g] = k
-    if (k_of < 0).any():
-        raise NotASemidirectDecomposition("HK != G")
-    return SemidirectStructure(group=G, h=H, k=K, k_of=k_of)
 
 
 def _roots_of_unity(q, e):

@@ -21,7 +21,6 @@ from .chartab import (
     CharContext,
     decompose_restriction,
     induce,
-    validate_semidirect,
 )
 from .errors import (
     CharposetError,
@@ -44,6 +43,7 @@ from .group import (
     normalizer,
     omega1,
     p_valuation,
+    validate_semidirect,
     whole_group_subgroup,
 )
 from .modlinalg import inv_mod

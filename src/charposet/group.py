@@ -21,6 +21,7 @@ from .errors import (
     LatticeConstructionFailed,
     NoSuchSubgroups,
     NotAPGroup,
+    NotASemidirectDecomposition,
     NotASubgroup,
     PreconditionViolated,
 )
@@ -363,6 +364,23 @@ def normalizer(G, H):
         raise NotASubgroup("subgroup belongs to a different parent group")
     ok = _normalizer_mask(G, H.members, H.mask)
     return make_subgroup(G, (int(x) for x in np.flatnonzero(ok)))
+
+
+def validate_semidirect(G, H, K):
+    """Check that G = H K with H normal in G and K a complement to H.
+
+    Once |H||K| = |G| and H and K meet trivially, every g in G is hk for
+    exactly one pair: hk = h'k' gives h'^-1 h = k' k^-1 in H and K, so
+    h = h' and k = k', and the |H||K| products hk are the |G| elements of G.
+    """
+    if H.parent is not G or K.parent is not G:
+        raise NotASemidirectDecomposition("parts belong to a different group")
+    if H.order * K.order != G.order:
+        raise NotASemidirectDecomposition("|H||K| != |G|")
+    if H.member_set & K.member_set != {0}:
+        raise NotASemidirectDecomposition("parts intersect nontrivially")
+    if not _normalizer_mask(G, H.members, H.mask).all():
+        raise NotASemidirectDecomposition("H is not normal in G")
 
 
 def centralizer_members(G, members):

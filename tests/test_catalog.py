@@ -6,14 +6,8 @@ from hypothesis import strategies as st
 
 from charposet.catalog import (
     SEMIDIRECT_C4_C4,
-    Cyclic,
-    Dihedral,
-    ElemAbelian,
-    Extraspecial,
-    GenQuaternion,
-    ModularMaxCyclic,
+    Named,
     Product,
-    SemiDihedral,
     _GF,
     catalog_roster,
     cycles_string,
@@ -29,7 +23,7 @@ from charposet.errors import (
     UnknownConstructor,
 )
 from charposet.group import center
-from util import cached_group
+from util import cached_group, catalog_up_to
 
 
 # --- cycle notation ---------------------------------------------------------
@@ -74,7 +68,7 @@ def test_parse_print_roundtrip(text):
 def test_parse_whitespace_insensitive():
     a = parse_group_expr("C(4) x C(2)")
     b = parse_group_expr("  C( 4 )  x  C( 2 ) ")
-    assert a == b == Product((Cyclic(4), Cyclic(2)))
+    assert a == b == Product((Named("C", (4,)), Named("C", (2,))))
 
 
 def test_parse_errors_carry_offsets():
@@ -125,6 +119,15 @@ def test_parameter_domain_errors(text):
         parse_group_expr(text)
     assert type(exc.value) is error
     assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("text", ["S(3000000)", "A(3000000)"])
+def test_large_cap_rejects_degrees_without_factorials(text, monkeypatch):
+    # n! of this degree takes over a minute; the degree is under this cap
+    monkeypatch.setenv("CHARPOSET_ORDER_CAP", str(10 ** 7))
+    with pytest.raises(ParameterOutOfRange) as exc:
+        parse_group_expr(text)
+    assert exc.value.offset == 2
 
 
 @given(st.integers(1, 30), st.integers(1, 15))
@@ -242,6 +245,6 @@ def test_roster_realizes_and_is_capped():
         G = cached_group(text)
         assert G.order <= 1024
         assert G.label == text
-    small = catalog_roster(max_order=16)
+    small = catalog_up_to(16)
     assert all(cached_group(t).order <= 16 for t in small)
     assert "A(5)" not in small

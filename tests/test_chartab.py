@@ -1,6 +1,7 @@
 """Exact modular character tables: construction, orthogonality, functoriality."""
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from charposet.chartab import (
     inner_product,
     irr_table,
     restrict_values,
-    validate_semidirect,
 )
 from charposet.errors import (
     NotASemidirectDecomposition,
@@ -37,6 +37,7 @@ from charposet.group import (
     make_subgroup,
     p_lattice,
     subgroup_closure,
+    validate_semidirect,
 )
 from charposet.modlinalg import roots_in_field
 from util import (
@@ -203,10 +204,10 @@ def test_semidirect_lift():
     ctx = CharContext(G)
     H = make_subgroup(G, G.semidirect_parts[0])
     K = make_subgroup(G, G.semidirect_parts[1])
-    sd = validate_semidirect(G, H, K)
+    validate_semidirect(G, H, K)
     tK = ctx.table(K)
     for phi in tK.chars:
-        lifted = lift_through_complement(ctx, sd, phi)
+        lifted = lift_through_complement(ctx, H, K, phi)
         back = decompose_restriction(ctx, ctx.whole(), lifted, K)
         assert back[tK.chars.index(phi)] == 1
         down_h = restrict_values(ctx, ctx.whole(), lifted, H)
@@ -221,6 +222,37 @@ def test_semidirect_validation_rejects_non_normal():
     H = subgroup_closure(G, [refl])     # not normal
     K = subgroup_closure(G, [rot])
     with pytest.raises(NotASemidirectDecomposition):
+        validate_semidirect(G, H, K)
+
+
+def _wrong_parent():
+    G = cached_group("S(3)")
+    other = realize("S(3)")
+    rot = int(np.flatnonzero(other.elem_order == 3)[0])
+    refl = int(np.flatnonzero(G.elem_order == 2)[0])
+    return G, subgroup_closure(other, [rot]), subgroup_closure(G, [refl])
+
+
+def _wrong_orders():
+    G = cached_group("S(3)")
+    rot = int(np.flatnonzero(G.elem_order == 3)[0])
+    return G, subgroup_closure(G, [rot]), subgroup_closure(G, [])
+
+
+def _meeting_parts():
+    G = cached_group("C(4)")
+    H = subgroup_closure(G, [int(np.flatnonzero(G.elem_order == 2)[0])])
+    return G, H, H
+
+
+@pytest.mark.parametrize("parts, branch", [
+    (_wrong_parent, "different group"),
+    (_wrong_orders, "|H||K| != |G|"),
+    (_meeting_parts, "intersect nontrivially"),
+])
+def test_semidirect_validation_rejects(parts, branch):
+    G, H, K = parts()
+    with pytest.raises(NotASemidirectDecomposition, match=re.escape(branch)):
         validate_semidirect(G, H, K)
 
 

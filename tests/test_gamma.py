@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import charposet.gamma
-from charposet.catalog import SEMIDIRECT_C4_C4, catalog_roster, realize
+from charposet.catalog import SEMIDIRECT_C4_C4, realize
 from charposet.errors import (
     HypothesisNotSatisfied,
     NotASylowNode,
@@ -28,6 +28,7 @@ from util import (
     DIFFERENTIAL_GROUPS,
     brute_force_has_strongly_embedded,
     cached_group,
+    catalog_up_to,
     check_component_projection,
     conjugated_node_images,
     five_conditions,
@@ -76,7 +77,7 @@ def test_x_of_sylow():
 
 @pytest.mark.parametrize("text,p,e", [
     (t, p, e)
-    for t in catalog_roster(max_order=32)
+    for t in catalog_up_to(32)
     for p in (2, 3)
     for e in (0, 1)
     if cached_group(t).order % p ** (e + 1) == 0
@@ -107,7 +108,7 @@ def test_s4_has_no_strongly_embedded_subgroup():
 
 @pytest.mark.parametrize("text,p,e", [
     (t, p, e)
-    for t in catalog_roster(max_order=60)
+    for t in catalog_up_to(60)
     for p in (2, 3, 5)
     for e in (0, 1)
     if cached_group(t).order % p == 0
@@ -146,7 +147,7 @@ def test_strongly_embedded_preconditions():
 
 @pytest.mark.parametrize("text,p,e", [
     (t, p, e)
-    for t in catalog_roster(max_order=24)
+    for t in catalog_up_to(24)
     for p in (2, 3)
     for e in (0, 1)
     if cached_group(t).order % p ** (e + 1) == 0

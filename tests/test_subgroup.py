@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charposet.group as group_module
-from charposet.catalog import catalog_roster, realize
+from charposet.catalog import realize
 from charposet.errors import NotASubgroup
 from charposet.gamma import (
     gamma_poset,
@@ -25,11 +25,12 @@ from charposet.group import (
 from util import (
     DIFFERENTIAL_GROUPS,
     cached_group,
+    catalog_up_to,
     check_node_action,
     induced_table,
 )
 
-SMALL_CATALOG = tuple(catalog_roster(max_order=24))
+SMALL_CATALOG = tuple(catalog_up_to(24))
 
 
 def _assert_table_matches_oracle(H):

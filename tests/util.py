@@ -62,6 +62,12 @@ def cached_group(text):
     return realize(text)
 
 
+def catalog_up_to(max_order):
+    """The catalog expressions whose groups have order at most max_order."""
+    return [text for text in catalog_roster()
+            if cached_group(text).order <= max_order]
+
+
 def brute_force_subgroups(G, max_gens=4):
     """All subgroup member tuples, independently of the lattice builder.
 
@@ -567,17 +573,18 @@ def direct_product_char(ctx, dp, phi, psi):
     raise AssertionError("product character is not a table row")
 
 
-def lift_through_complement(ctx, sd, phi):
-    """Lift of phi in Irr(K) to G along g = hk -> phi(k)."""
-    if sd.group is not ctx.group:
-        raise ContextMismatch("semidirect structure for a different group")
+def lift_through_complement(ctx, H, K, phi):
+    """Lift of phi in Irr(K) to G = HK along g = hk -> phi(k)."""
+    G = ctx.group
+    if H.parent is not G or K.parent is not G:
+        raise ContextMismatch("semidirect parts of a different group")
     tG = ctx.table(None)
-    tK = ctx.table(sd.k)
-    phi_vals = np.asarray(phi.values, dtype=np.int64)
+    tK = ctx.table(K)
     vals = []
     for g in tG.classes.reps:
-        k = int(sd.k_of[g])
-        vals.append(int(phi_vals[tK.classes.class_of[sd.k.index_of[k]]]))
+        # the k with g k^-1 in H; it is unique since H and K meet trivially
+        k = next(k for k in K.members if H.mask[G.mul[g, G.inv[k]]])
+        vals.append(int(phi.values[tK.classes.class_of[K.index_of[k]]]))
     vals = tuple(vals)
     for chi in tG.chars:
         if chi.values == vals:
