@@ -13,7 +13,13 @@ import json
 import sys
 
 from .catalog import catalog_roster, parse_group_expr, realize_group
-from .errors import CharposetError, GroupExprError, PreconditionViolated
+from .errors import (
+    CharposetError,
+    ClosureCapExceeded,
+    GroupExprError,
+    ParameterOutOfRange,
+    PreconditionViolated,
+)
 from .gamma import (
     CLAIM_IDS,
     CSV_COLUMNS,
@@ -181,15 +187,28 @@ def _cmd_verify(args, out):
     return 1 if report.status == "fail" else 0
 
 
+def _catalog_groups(texts, max_order):
+    """Realize the catalog expressions one at a time, yielding each group of
+    order at most max_order, if given.
+
+    A catalog group that exceeds the order cap is skipped when max_order is
+    within the cap, since its order then exceeds max_order too.
+    """
+    for text in texts:
+        try:
+            G = _realize(text)
+        except (ParameterOutOfRange, ClosureCapExceeded):
+            if max_order is not None and max_order <= order_cap():
+                continue
+            raise
+        if max_order is None or G.order <= max_order:
+            yield G
+
+
 def _cmd_scan_q1(args, out):
-    roster = []
-    for text in catalog_roster():
-        G = _realize(text)
-        if args.max_order is not None and G.order > args.max_order:
-            continue
-        if is_p_power(G.order, args.p) and \
-                p_valuation(G.order, args.p) >= args.k:
-            roster.append(G)
+    roster = [G for G in _catalog_groups(catalog_roster(), args.max_order)
+              if is_p_power(G.order, args.p)
+              and p_valuation(G.order, args.p) >= args.k]
     results, errors = scan_nontrivial_I(roster, args.p, args.k)
     print(f"p: {args.p}  k: {args.k}  groups scanned: {len(roster)}",
           file=out)
@@ -204,10 +223,7 @@ def _cmd_scan_q1(args, out):
 
 def _cmd_catalog_run(args, out):
     reports = []
-    for text in sorted(catalog_roster()):
-        G = _realize(text)
-        if args.max_order is not None and G.order > args.max_order:
-            continue
+    for G in _catalog_groups(sorted(catalog_roster()), args.max_order):
         for p in (2, 3):
             for claim in CLAIM_IDS:
                 for e in _CLAIM_ES[claim]:

@@ -23,6 +23,7 @@ from .chartab import (
     induce,
 )
 from .errors import (
+    ActionNotCompatible,
     CharposetError,
     CrossCheckFailed,
     HypothesisNotSatisfied,
@@ -99,48 +100,40 @@ def _generating_set(G):
 
 
 def s_node_images(spos):
-    """img[g, i] = lattice node id of (node i)^g = g^-1 (node i) g.
+    """img[k, i] = lattice node id of (node i)^g = g^-1 (node i) g, for the
+    k-th element g of _generating_set(G).
 
-    Only a generating set of G conjugates the nodes, a level (the nodes of
-    one order) at a time in one gather, and each sorted row is looked up as
-    a member tuple. Every other row comes from X^(x s) = (X^x)^s,
-    breadth-first from the identity over the same generators. Returns an
-    int32 array of shape (|G|, nodes).
+    Each generator conjugates the nodes a level (the nodes of one order) at
+    a time in one gather, and each sorted row is looked up as a member
+    tuple. Returns an int32 array of shape (generators, nodes).
     """
     G = spos.group
     lat = spos.lattice
     levels = [np.array([s.members for s in level])
               for _, level in groupby(lat.nodes, key=lambda s: s.order)]
     gens = _generating_set(G)
-    gen_img = [np.array([lat.node_index[tuple(row)] for level in levels
-                         for row in np.sort(G.conj_set(level, g), axis=1)
-                         .tolist()], dtype=np.int32)
-               for g in gens]
-    img = np.zeros((G.order, lat.node_count), dtype=np.int32)
-    img[0] = np.arange(lat.node_count)
-    done = np.zeros(G.order, dtype=bool)
-    done[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while not done.all():
-        found = []
-        for g, gimg in zip(gens, gen_img):
-            ys = G.mul[frontier, g]
-            new = ~done[ys]
-            ys, xs = ys[new], frontier[new]
-            img[ys] = gimg[img[xs]]
-            done[ys] = True
-            found.append(ys)
-        frontier = np.concatenate(found)
-    return img
+    rows = [lat.node_index[tuple(row)] for g in gens for level in levels
+            for row in np.sort(G.conj_set(level, g), axis=1).tolist()]
+    return np.array(rows, dtype=np.int32).reshape(len(gens), lat.node_count)
 
 
 def s_component_action(spos):
-    """Conjugation action of G on pi_0 S, based at the first Sylow node."""
-    if not spos.lattice.sylow_ids:
+    """Orbit of the first Sylow node's component under conjugation by G.
+
+    Sylow's theorem makes G transitive on its Sylow p-subgroups, so the
+    orbit must be exactly the components that hold a Sylow node; any other
+    orbit raises ActionNotCompatible.
+    """
+    lat = spos.lattice
+    if not lat.sylow_ids:
         raise PreconditionViolated("empty poset has no base component")
-    return action_on_components(spos.group, spos.partition,
-                                s_node_images(spos),
-                                base_node=spos.lattice.sylow_ids[0])
+    orbit = action_on_components(spos.partition, s_node_images(spos),
+                                 base_node=lat.sylow_ids[0])
+    sylow = {spos.partition.component_of[i] for i in lat.sylow_ids}
+    if set(orbit) != sylow:
+        raise ActionNotCompatible(f"orbit of {len(orbit)} components, but "
+                                  f"{len(sylow)} hold a Sylow node")
+    return orbit
 
 
 # --- Gamma_{p,e}(G) -------------------------------------------------------
@@ -227,6 +220,9 @@ def strongly_embedded_check(G, p, e, M):
     """Whether M is strongly p^(e+1)-embedded in G: p^(e+1) divides |M| but
     no |M intersect M^x| for x outside M (condition 5 of the five equivalent
     conditions of Quillen 1978, Prop. 5.2).
+
+    One x per double coset MxM is enough: |M intersect M^(m x m')| =
+    |M intersect M^x|, because M^(m x m') = (M^x)^m' and M^m' = M.
     """
     if M.parent is not G or M.order == G.order:
         raise PreconditionViolated("M must be a proper subgroup of G")
@@ -236,14 +232,9 @@ def strongly_embedded_check(G, p, e, M):
     pe1 = p ** (e + 1)
     if M.order % pe1:
         return False
-    marr = np.array(M.members, dtype=np.int32)
-    for x in range(G.order):
-        if x in M.member_set:
-            continue
-        conj = set(int(v) for v in G.conj_set(marr, x))
-        if len(conj & M.member_set) % pe1 == 0:
-            return False
-    return True
+    reps = np.array(_double_coset_reps(G, M), dtype=np.int64)[:, None]
+    meets = M.mask[G.conj_set(M.members, reps)].sum(axis=1)
+    return not (meets % pe1 == 0).any()
 
 
 def _double_coset_reps(G, M):
@@ -251,10 +242,10 @@ def _double_coset_reps(G, M):
     marr = np.array(M.members, dtype=np.int32)
     covered = M.mask.copy()
     reps = []
-    for g in range(G.order):
-        if not covered[g]:
-            reps.append(g)
-            covered[G.mul[G.mul[marr, g][:, None], marr[None, :]]] = True
+    while not covered.all():
+        g = int(np.argmin(covered))
+        reps.append(g)
+        covered[G.mul[G.mul[marr, g][:, None], marr[None, :]]] = True
     return reps
 
 
@@ -368,8 +359,7 @@ def _claim_thm_a(G, p, e):
     observed = {"gamma_components": n_gamma}
     expected = {"gamma_components": x * s}
     if _sylow_has_cc_or_elem_abelian(G, p, e):
-        act = s_component_action(spos)
-        index = G.order // act.stabilizer.order
+        index = len(s_component_action(spos))
         observed["gamma_structural"] = n_gamma
         observed["s_structural"] = s
         expected["gamma_structural"] = index

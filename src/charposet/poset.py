@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ActionNotCompatible
-from .group import Subgroup, make_subgroup
 
 
 @dataclass(frozen=True)
@@ -71,43 +70,34 @@ def components(node_count, edges):
                      tuple(tuple(c) for c in comps))
 
 
-@dataclass(frozen=True, eq=False)
-class ComponentAction:
-    """A group's permutation action on the components of a partition."""
+def action_on_components(partition, node_image, base_node=0):
+    """Orbit of the component containing base_node under a group given by
+    generators, as a sorted tuple of component ids.
 
-    partition: Partition
-    component_image: np.ndarray  # [g, c] = image of component c, read-only
-    orbit: tuple                 # orbit of the base component, sorted
-    stabilizer: Subgroup         # stabilizer of the base component
-
-
-def action_on_components(G, partition, node_image, base_node=0):
-    """Induced action of G on components, with the orbit and stabilizer of
-    the component containing base_node.
-
-    node_image[g][v] must be the image of node v under group element g,
-    read as a (|G|, nodes) int array. The maps are assumed, not checked, to
-    form an action. A wrong shape, an element that splits a component
-    across components, or a failed orbit-stabilizer identity
-    |orbit| * |stab| = |G| raises ActionNotCompatible.
+    node_image[k][v] must be the image of node v under the k-th generator,
+    read as a (generators, nodes) int array. The maps are assumed, not
+    checked, to permute the nodes. A wrong shape or a generator that splits
+    a component across components raises ActionNotCompatible. The orbit is
+    the closure of the base component under the generators: in a finite
+    group every inverse is a positive power, so the closure is the orbit.
     """
     n = partition.node_count
     img = np.asarray(node_image)
-    if img.shape != (G.order, n):
+    if img.ndim != 2 or img.shape[1] != n:
         raise ActionNotCompatible(
-            f"node images have shape {img.shape}, need {(G.order, n)}")
+            f"node images have shape {img.shape}, need (generators, {n})")
     comp_of = np.array(partition.component_of, dtype=np.int32)
-    # cimg[g, c] = component of g's image of the least node of component c
+    # cimg[k, c] = component of generator k's image of c's least node
     cimg = comp_of[img[:, list(partition.representatives)]]
     split = np.flatnonzero((comp_of[img] != cimg[:, comp_of]).any(axis=1))
     if split.size:
         raise ActionNotCompatible(
-            f"element {int(split[0])} splits a component across components")
+            f"generator {int(split[0])} splits a component across components")
 
-    base = int(comp_of[base_node])
-    orbit = sorted(set(cimg[:, base].tolist()))
-    stabilizer = make_subgroup(G, np.flatnonzero(cimg[:, base] == base))
-    if len(orbit) * stabilizer.order != G.order:
-        raise ActionNotCompatible("orbit-stabilizer identity failed")
-    cimg.setflags(write=False)
-    return ComponentAction(partition, cimg, tuple(orbit), stabilizer)
+    orbit = {int(comp_of[base_node])}
+    frontier = list(orbit)
+    while frontier:
+        found = set(cimg[:, frontier].ravel().tolist()) - orbit
+        orbit |= found
+        frontier = list(found)
+    return tuple(sorted(orbit))

@@ -15,7 +15,6 @@ from charposet.chartab import (
 from charposet.gamma import (
     gamma_poset,
     has_strongly_embedded_subgroup,
-    s_component_action,
     s_poset,
     verify,
     x_of_sylow,
@@ -32,6 +31,7 @@ from util import (
     cached_group,
     check_column_orthogonality,
     check_component_projection,
+    element_component_action,
     five_conditions,
     full_comparability_partition,
 )
@@ -132,7 +132,7 @@ def test_criterion_04_product_law(capsys):
     # the A(5) instance: 5 = 5 * 1, stabilizer order 12
     spos = s_poset(cached_group("A(5)"), 2, 0)
     gam = gamma_poset(cached_group("A(5)"), 2, 0)
-    act = s_component_action(spos)
+    act = element_component_action(spos)
     if not (gam.partition.count == 5
             and x_of_sylow(gam, spos.lattice.sylow_ids[0]) == 1
             and spos.partition.count == 5

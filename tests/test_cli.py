@@ -158,6 +158,21 @@ def test_bad_order_cap_env_exit_two(monkeypatch, capsys, raw):
         assert "CHARPOSET_ORDER_CAP" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["catalog-run", "--max-order", "8"],
+                                  ["scan-q1", "--p", "2", "--max-order", "8"]])
+def test_max_order_within_the_cap_skips_catalog_groups_past_it(
+        monkeypatch, capsys, argv):
+    want = _run(argv)
+    monkeypatch.setenv("CHARPOSET_ORDER_CAP", "100")
+    assert _run(argv) == want and want[0] == 0
+    assert capsys.readouterr().err == ""
+    # past the cap, --max-order no longer vouches for the groups it skips
+    code, _ = _run(argv[:-1] + ["200"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cap_exceeded_exit_three():
     code, _ = _run(["irr", "perm[40: (" +
                     " ".join(str(i) for i in range(1, 41)) + ")]"])

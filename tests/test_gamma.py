@@ -14,6 +14,7 @@ from charposet.errors import (
     PreconditionViolated,
 )
 from charposet.gamma import (
+    _generating_set,
     gamma_poset,
     has_strongly_embedded_subgroup,
     s_node_images,
@@ -31,6 +32,8 @@ from util import (
     catalog_up_to,
     check_component_projection,
     conjugated_node_images,
+    element_node_images,
+    every_element_strongly_embedded_check,
     five_conditions,
     full_comparability_partition,
     subgroup_reaches_all_components,
@@ -117,6 +120,20 @@ def test_overgroup_search_matches_all_subgroup_scan(text, p, e):
     G = cached_group(text)
     assert has_strongly_embedded_subgroup(G, p, e) == \
         brute_force_has_strongly_embedded(G, p, e)
+
+
+@pytest.mark.parametrize("text", catalog_up_to(60) + ["PSL(2,7)"])
+def test_condition_5_per_double_coset_matches_every_element(text):
+    G = cached_group(text)
+    proper = [M for M in all_subgroups(G) if M.order < G.order]
+    for p in (2, 3):
+        for e in (0, 1):
+            if G.order % p ** (e + 1):
+                continue
+            for M in proper:
+                assert strongly_embedded_check(G, p, e, M) == \
+                    every_element_strongly_embedded_check(G, p, e, M), \
+                    (p, e, M.members)
 
 
 def test_bender_family_psl_2_8():
@@ -297,7 +314,9 @@ def test_node_images_by_composition_match_conjugation(text):
     for p in (2, 3):
         for e in (0, 1):
             spos = s_poset(G, p, e)
-            img = s_node_images(spos)
+            img = element_node_images(spos)
             assert img.shape == (G.order, spos.lattice.node_count)
-            assert img.tolist() == [list(t)
-                                    for t in conjugated_node_images(spos)]
+            conj = [list(t) for t in conjugated_node_images(spos)]
+            assert img.tolist() == conj
+            assert s_node_images(spos).tolist() == \
+                [conj[g] for g in _generating_set(G)]

@@ -19,7 +19,7 @@ from charposet.errors import (
     NotASubgroup,
     PreconditionViolated,
 )
-from charposet.gamma import s_node_images, s_poset
+from charposet.gamma import s_poset
 from charposet.group import (
     GroupTable,
     _extend_p_subgroup,
@@ -53,6 +53,7 @@ from util import (
     conjugate_subgroup,
     conjugated_node_images,
     conjugation_orbits,
+    element_node_images,
     fixed_point_closure_members,
     intersection_of_level,
     iterated_elem_orders,
@@ -439,7 +440,7 @@ def test_generator_fill_matches_oracles_on_random_generators(case):
     _assert_inverses_and_orders_match_oracles(G)
     for p in (2, 3):
         spos = s_poset(G, p, 0)
-        img = s_node_images(spos)
+        img = element_node_images(spos)
         assert img.shape == (G.order, spos.lattice.node_count)
         assert img.tolist() == [list(t) for t in conjugated_node_images(spos)]
 

@@ -1,13 +1,25 @@
 """Union-find components and group actions on them."""
+import io
+
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import charposet.gamma
+from charposet.catalog import realize
+from charposet.cli import run
 from charposet.errors import ActionNotCompatible
-from charposet.gamma import s_component_action, s_node_images, s_poset
+from charposet.gamma import s_component_action, s_poset
 from charposet.poset import action_on_components, components
-from util import cached_group, check_node_action
+from util import (
+    DIFFERENTIAL_GROUPS,
+    cached_group,
+    check_node_action,
+    element_component_action,
+    element_node_images,
+)
 
 
 def test_components_trivial_cases():
@@ -48,21 +60,24 @@ def test_components_against_networkx(n, data):
 def test_action_p_group_is_trivial():
     G = cached_group("D(4)")
     spos = s_poset(G, 2, 0)
-    act = s_component_action(spos)
+    act = element_component_action(spos)
+    assert s_component_action(spos) == act.orbit
     assert len(act.orbit) == 1
     assert act.stabilizer.order == G.order
 
 
 def test_action_a5_orbit_and_stabilizer():
     spos = s_poset(cached_group("A(5)"), 2, 0)
-    act = s_component_action(spos)
+    act = element_component_action(spos)
+    assert s_component_action(spos) == act.orbit
     assert len(act.orbit) == 5
     assert act.stabilizer.order == 12
 
 
 def test_action_sl23_orbit_and_stabilizer():
     spos = s_poset(cached_group("SL(2,3)"), 3, 0)
-    act = s_component_action(spos)
+    act = element_component_action(spos)
+    assert s_component_action(spos) == act.orbit
     assert len(act.orbit) == 4
     assert act.stabilizer.order == 6
 
@@ -72,8 +87,8 @@ def test_orbit_stabilizer_identity_across_catalog():
                     ("SL(2,3)", 2), ("Q(16)", 2)]:
         G = cached_group(text)
         spos = s_poset(G, p, 0)
-        check_node_action(G, s_node_images(spos), spos.lattice.covers)
-        act = s_component_action(spos)
+        check_node_action(G, element_node_images(spos), spos.lattice.covers)
+        act = element_component_action(spos)
         assert len(act.orbit) * act.stabilizer.order == G.order
 
 
@@ -99,11 +114,10 @@ def test_edge_breaking_action_rejected():
 
 
 def test_component_splitting_action_rejected():
-    G = cached_group("C(2)")
     part = components(3, [(0, 1)])
     # the involution maps the component {0, 1} to {0, 2}, across two
     with pytest.raises(ActionNotCompatible, match="splits a component"):
-        action_on_components(G, part, [(0, 1, 2), (0, 2, 1)])
+        action_on_components(part, [(0, 2, 1)])
 
 
 def test_non_homomorphic_action_rejected():
@@ -115,6 +129,47 @@ def test_non_homomorphic_action_rejected():
 
 
 def test_node_images_of_the_wrong_shape_rejected():
-    G = cached_group("C(2)")
     with pytest.raises(ActionNotCompatible, match="shape"):
-        action_on_components(G, components(2, []), [(0, 1)])
+        action_on_components(components(2, []), [(0, 1, 2)])
+    with pytest.raises(ActionNotCompatible, match="shape"):
+        action_on_components(components(2, []), [0, 1])
+
+
+def test_orbit_is_closed_under_the_generators():
+    # two generators, each a transposition of components: 0 -> 1 -> 2
+    part = components(3, [])
+    assert action_on_components(part, [(1, 0, 2), (0, 2, 1)]) == (0, 1, 2)
+    assert action_on_components(part, [(1, 0, 2)], base_node=2) == (2,)
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_generator_orbit_matches_element_action(text):
+    G = cached_group(text)
+    for p in (2, 3):
+        for e in (0, 1):
+            spos = s_poset(G, p, e)
+            if spos.lattice.node_count:
+                assert s_component_action(spos) == \
+                    element_component_action(spos).orbit, (p, e)
+
+
+def _identity_rows(spos):
+    return np.arange(spos.lattice.node_count, dtype=np.int32)[None, :]
+
+
+def test_orbit_that_misses_a_sylow_component_is_rejected(monkeypatch):
+    # with every generator acting trivially, the orbit of the base component
+    # is itself, but A(5) has five Sylow 2-subgroups in five components
+    monkeypatch.setattr(charposet.gamma, "s_node_images", _identity_rows)
+    with pytest.raises(ActionNotCompatible, match="Sylow"):
+        s_component_action(s_poset(realize("A(5)"), 2, 0))
+
+
+def test_verify_reports_a_broken_action_as_one_error(monkeypatch, capsys):
+    monkeypatch.setattr(charposet.gamma, "s_node_images", _identity_rows)
+    out = io.StringIO()
+    assert run(["verify", "--theorem", "A", "--p", "2", "A(5)"], out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.count("error:") == 1 and out.getvalue() == ""
+    assert "ActionNotCompatible" in err and "Traceback" not in err

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 import charposet.group as group_module
 from charposet.catalog import realize
 from charposet.errors import NotASubgroup
-from charposet.gamma import (
-    gamma_poset,
-    s_component_action,
-    s_node_images,
-    s_poset,
-    verify,
-)
+from charposet.gamma import gamma_poset, s_poset, verify
 from charposet.group import (
     center,
     closure_members,
@@ -27,6 +21,8 @@ from util import (
     cached_group,
     catalog_up_to,
     check_node_action,
+    element_component_action,
+    element_node_images,
     induced_table,
 )
 
@@ -58,8 +54,9 @@ def test_node_and_normalizer_tables_match_oracle(text):
 @pytest.mark.parametrize("p", [2, 3])
 def test_component_stabilizer_tables_match_oracle(text, p):
     spos = s_poset(cached_group(text), p, 0)
-    check_node_action(spos.group, s_node_images(spos), spos.lattice.covers)
-    _assert_table_matches_oracle(s_component_action(spos).stabilizer)
+    check_node_action(spos.group, element_node_images(spos),
+                      spos.lattice.covers)
+    _assert_table_matches_oracle(element_component_action(spos).stabilizer)
 
 
 @pytest.mark.parametrize("text", ["C(1)", "S(3)", "D(4)", "A(6)"])

@@ -18,9 +18,10 @@ from charposet.errors import (
     TableConstructionFailed,
 )
 from charposet.gamma import (
+    _generating_set,
     char_context,
     restriction_multiplicities,
-    s_component_action,
+    s_node_images,
     s_poset,
     strongly_embedded_check,
 )
@@ -118,6 +119,25 @@ def brute_force_has_strongly_embedded(G, p, e):
                for M in all_subgroups(G))
 
 
+def every_element_strongly_embedded_check(G, p, e, M):
+    """Condition 5 tested on every x outside M, one set intersection each."""
+    if M.parent is not G or M.order == G.order:
+        raise PreconditionViolated("M must be a proper subgroup of G")
+    if p_valuation(G.order, p) <= e:
+        raise PreconditionViolated(f"p^{e + 1} does not divide |G|")
+    pe1 = p ** (e + 1)
+    if M.order % pe1:
+        return False
+    marr = np.array(M.members, dtype=np.int32)
+    for x in range(G.order):
+        if x in M.member_set:
+            continue
+        conj = set(int(v) for v in G.conj_set(marr, x))
+        if len(conj & M.member_set) % pe1 == 0:
+            return False
+    return True
+
+
 def _p_nodes_inside(lat, member_set):
     return [i for i, sub in enumerate(lat.nodes)
             if sub.member_set <= member_set]
@@ -141,7 +161,7 @@ def strong_embedding_condition(G, p, e, M, condition):
     lat = spos.lattice
 
     if condition == 1:
-        img = s_component_action(spos).component_image
+        img = element_component_action(spos).component_image
         return any(M.mask[np.flatnonzero(img[:, c] == c)].all()
                    for c in range(spos.partition.count))
 
@@ -207,6 +227,72 @@ def check_node_action(G, node_image, edges):
         if (img[h][img] != img[G.mul[:, h]]).any():
             raise ActionNotCompatible(
                 "node maps are not compatible with multiplication")
+
+
+def element_node_images(spos):
+    """img[g, i] = node id of (node i)^g for every g in G, as an int32
+    array of shape (|G|, nodes).
+
+    The rows of the library's generators compose breadth-first from the
+    identity, by X^(x s) = (X^x)^s.
+    """
+    G = spos.group
+    gens = _generating_set(G)
+    gen_img = s_node_images(spos)
+    img = np.zeros((G.order, spos.lattice.node_count), dtype=np.int32)
+    img[0] = np.arange(spos.lattice.node_count)
+    done = np.zeros(G.order, dtype=bool)
+    done[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while not done.all():
+        found = []
+        for g, gimg in zip(gens, gen_img):
+            ys = G.mul[frontier, g]
+            new = ~done[ys]
+            ys, xs = ys[new], frontier[new]
+            img[ys] = gimg[img[xs]]
+            done[ys] = True
+            found.append(ys)
+        frontier = np.concatenate(found)
+    return img
+
+
+@dataclass(frozen=True, eq=False)
+class ElementAction:
+    """G's action on the components of S, read element by element."""
+
+    component_image: np.ndarray  # [g, c] = image of component c, read-only
+    orbit: tuple                 # orbit of the base component, sorted
+    stabilizer: Subgroup         # stabilizer of the base component
+
+
+def element_component_action(spos):
+    """Conjugation action of G on pi_0 S from every element's node images,
+    based at the first Sylow node.
+
+    A wrong shape, an element that splits a component across components, or
+    a failed orbit-stabilizer identity |orbit| * |stab| = |G| raises
+    ActionNotCompatible.
+    """
+    G = spos.group
+    partition = spos.partition
+    img = element_node_images(spos)
+    if img.shape != (G.order, partition.node_count):
+        raise ActionNotCompatible(f"node images have shape {img.shape}")
+    comp_of = np.array(partition.component_of, dtype=np.int32)
+    # cimg[g, c] = component of g's image of the least node of component c
+    cimg = comp_of[img[:, list(partition.representatives)]]
+    split = np.flatnonzero((comp_of[img] != cimg[:, comp_of]).any(axis=1))
+    if split.size:
+        raise ActionNotCompatible(
+            f"element {int(split[0])} splits a component across components")
+    base = int(comp_of[spos.lattice.sylow_ids[0]])
+    orbit = sorted(set(cimg[:, base].tolist()))
+    stabilizer = make_subgroup(G, np.flatnonzero(cimg[:, base] == base))
+    if len(orbit) * stabilizer.order != G.order:
+        raise ActionNotCompatible("orbit-stabilizer identity failed")
+    cimg.setflags(write=False)
+    return ElementAction(cimg, tuple(orbit), stabilizer)
 
 
 def full_comparability_partition(G, p, e):
