@@ -15,6 +15,7 @@ eigenvector splitting (`dixon_rows`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -82,8 +83,7 @@ def classes_by_conjugation(G):
         if class_of[x] >= 0:
             continue
         t = G.mul[G.inv, x]
-        orbit = np.unique(G.mul[t, rng])
-        class_of[orbit] = len(reps)
+        class_of[G.mul[t, rng]] = len(reps)     # the orbit, with repeats
         reps.append(x)
     sizes = np.bincount(class_of, minlength=len(reps)).astype(np.int64)
     inverse_class = np.array([class_of[G.inv[r]] for r in reps], dtype=np.int32)
@@ -154,7 +154,14 @@ class CharTable:
         return len(self.chars)
 
     def values_matrix(self):
-        return np.array([c.values for c in self.chars], dtype=np.int64)
+        """The (characters, classes) int64 array of values, read-only."""
+        return self._values
+
+    @cached_property
+    def _values(self):
+        V = np.array([c.values for c in self.chars], dtype=np.int64)
+        V.setflags(write=False)
+        return V
 
 
 def _eigenvector_splitting(G, cls, q):
@@ -404,13 +411,18 @@ class CharContext:
 
     Tables are cached by member tuple, and the whole group's under None
     however it is asked for. A proper p-subgroup S is a node of the parent's
-    S_{p,0} lattice: unless S represents its conjugacy class there, its
-    table is the representative's relabelled along the conjugation
-    (`conjugated_table`). A non-abelian representative, or a non-abelian
-    p-group G itself, is built by `clifford_rows` from the cached tables of
-    its lower covers in the lattice; any other group goes through
-    `irr_table`. The cache follows a single-writer/multi-reader contract;
-    tables themselves are immutable.
+    S_{p,0} lattice. A non-abelian class representative there, or a
+    non-abelian p-group G itself, is built by `clifford_rows` from the
+    cached tables of its lower covers in the lattice; any other group goes
+    through `irr_table`.
+
+    The Gamma build (`gamma.build_gamma_poset`) asks only for the tables of
+    class representatives, and reaches every other node by transport. Any
+    other node's table is still built on request, relabelled from its
+    representative's along the conjugation (`conjugated_table`), for the
+    callers that need one: `restrict_values`, `induce` and the lower covers
+    read by `clifford_rows`. The cache follows a single-writer/multi-reader
+    contract; tables themselves are immutable.
     """
 
     def __init__(self, G, q=None):

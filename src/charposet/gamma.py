@@ -30,6 +30,7 @@ from .errors import (
     NotAPGroup,
     NotASylowNode,
     PreconditionViolated,
+    TableConstructionFailed,
 )
 from .group import (
     GroupTable,
@@ -161,39 +162,133 @@ class GammaPoset:
         return len(self.nodes)
 
 
-def restriction_multiplicities(ctx, H, K):
-    """Matrix M[a, b] = [phi_a, (psi_b)|_H] over Irr(H) x Irr(K), exactly."""
-    q = ctx.q
-    tH, tK = ctx.table(H), ctx.table(K)
-    VH = tH.values_matrix()
-    VK = tK.values_matrix()
-    kcls = np.array(
-        [int(tK.classes.class_of[K.index_of[H.members[r]]])
-         for r in tH.classes.reps], dtype=np.int64)
-    # psi restricted to H, evaluated at H's inverse classes
-    R = VK[:, kcls][:, tH.classes.inverse_class]
-    W = (VH * tH.classes.sizes[None, :]) % q
-    M = (W @ R.T) % q
-    return (M * inv_mod(H.order, q)) % q
+def restriction_multiplicities(tH, tK, fusion):
+    """Matrix M[a, b] = [phi_a, (psi_b)|_H] over Irr(H) x Irr(K), exactly.
+
+    fusion[c] is the class of K that holds H's class c, so psi|_H has the
+    values psi[fusion] over H's classes.
+    """
+    q = tH.q
+    cls = tH.classes
+    R = tK.values_matrix()[:, fusion][:, cls.inverse_class]
+    W = tH.values_matrix() * cls.sizes[None, :] % q
+    return W @ R.T % q * inv_mod(tH.group.order, q) % q
+
+
+def _transported_rows(G, R, tR, gs, members):
+    """pi[k, a]: the row of tR that row a of Irr(R^g) is, g = gs[k].
+
+    The characters of S = R^g are the phi^g, phi^g(y) = phi(g y g^-1). S's
+    classes are numbered by their least element and its rows sorted by
+    degree, then values, as CharContext.table numbers and sorts them.
+    members[k] is the member tuple of R^(gs[k]), which is checked.
+    """
+    img = G.conj_set(R.members, gs[:, None])
+    if not np.array_equal(np.sort(img, axis=1), members):
+        raise TableConstructionFailed("the subgroups are not conjugate by g")
+    cls = tR.classes
+    by_class = np.argsort(cls.class_of, kind="stable")
+    starts = np.searchsorted(cls.class_of[by_class], np.arange(cls.count))
+    least = np.minimum.reduceat(img[:, by_class], starts, axis=1)
+    cols = tR.values_matrix()[:, np.argsort(least, axis=1)]  # (rows, k, m)
+    degrees = np.array([c.degree for c in tR.chars])
+    keys = np.concatenate([cols.T[::-1], np.broadcast_to(
+        degrees, (1, len(gs), degrees.size))])
+    return np.lexsort(keys)
+
+
+def _cover_keys(G, lat, tables, g):
+    """Each cover's key (r_H, r_K, f), as the rows of one int array.
+
+    f[c] is the class of R_K that holds g_j g_i^-1 x g_i g_j^-1 for the
+    representative x of R_H's class c, padded with 0s (the identity's class)
+    to the longest R_H. Returns (keys, key_of): the distinct rows, sorted,
+    and each cover's row index.
+    """
+    pos = {r: k for k, r in enumerate(tables)}
+    width = max(t.classes.count for t in tables.values())
+    # class_in[pos[r], y] = R's class of the element y of G, -1 outside R
+    class_in = np.full((len(tables), G.order), -1, dtype=np.int32)
+    reps = np.zeros((len(tables), width), dtype=np.int64)
+    for r, t in tables.items():
+        mem = np.array(lat.nodes[r].members)
+        class_in[pos[r], mem] = t.classes.class_of
+        reps[pos[r], :t.classes.count] = mem[list(t.classes.reps)]
+    rep = np.array([pos[r] for r, _ in lat.conjugates], dtype=np.int64)
+    i, j = np.array(lat.covers, dtype=np.int64).reshape(-1, 2).T
+    h = G.mul[g[i], G.inv[g[j]]]
+    fusion = class_in[rep[j, None], G.conj_set(reps[rep[i]], h[:, None])]
+    if (fusion < 0).any():
+        raise TableConstructionFailed("a cover is not an inclusion")
+    node = np.array(list(tables), dtype=np.int64)
+    keys, key_of = np.unique(
+        np.column_stack([node[rep[i]], node[rep[j]], fusion]), axis=0,
+        return_inverse=True)
+    return keys, key_of.reshape(-1)
 
 
 def build_gamma_poset(G, p, e):
+    """Gamma_{p,e}(G) over the cover edges of S_{p,e}(G).
+
+    Only the class representatives' tables are built. Node i = R^g, with
+    lattice.conjugates[i] = (r, g), takes its characters by transport,
+    phi^g(y) = phi(g y g^-1), and row a of its table is row pi_i[a] of R's
+    (`_transported_rows`; pi_r is the identity). Conjugation keeps
+    multiplicities, [phi^g, psi^g|_(H^g)] = [phi, psi|_H]. So a cover
+    (i, j) with conjugates (r_H, g_i) and (r_K, g_j) has the matrix of R_H
+    in R_K under the class fusion f: x -> g_j g_i^-1 x g_i g_j^-1, from
+    R_H's class representatives into R_K's classes, with rows pi_i and
+    columns pi_j. That matrix is computed once per key (r_H, r_K, f)
+    (`_cover_keys`), and its nonzero entries give the edges of every cover
+    with that key. The edges are listed in the order of lattice.covers (by
+    upper node, then lower node), row-major within a cover.
+    """
     spos = s_poset(G, p, e)
     lat = spos.lattice
     ctx = char_context(G)
-    nodes = []
-    offsets = []
-    for i, sub in enumerate(lat.nodes):
-        offsets.append(len(nodes))
-        nodes.extend(GammaNode(i, a) for a in range(ctx.table(sub).count))
-    edges = []
-    for i, j in lat.covers:
-        M = restriction_multiplicities(ctx, lat.nodes[i], lat.nodes[j])
-        for a, b in zip(*np.nonzero(M)):
-            edges.append((offsets[i] + int(a), offsets[j] + int(b)))
+    by_rep = {}
+    for i, (r, _) in enumerate(lat.conjugates):
+        by_rep.setdefault(r, []).append(i)
+    tables = {r: ctx.table(lat.nodes[r]) for r in by_rep}
+    counts = [tables[r].count for r, _ in lat.conjugates]
+    offsets = np.cumsum([0] + counts, dtype=np.int64)
+    g = np.array([h for _, h in lat.conjugates], dtype=np.int64)
+    # slot[offsets[i] + a] = the node of Gamma that R's row a is at node i
+    slot = np.arange(offsets[-1], dtype=np.int64)
+    for r, (_, *ids) in by_rep.items():
+        if ids:
+            members = np.array([lat.nodes[i].members for i in ids])
+            pi = _transported_rows(G, lat.nodes[r], tables[r], g[ids],
+                                   members)
+            first = offsets[ids, None]
+            slot[first + pi] = first + np.arange(pi.shape[1])
+
+    edges = ()
+    if lat.covers:
+        keys, key_of = _cover_keys(G, lat, tables, g)
+        nonzero = []
+        for rH, rK, *f in keys.tolist():
+            tH = tables[rH]
+            nonzero.append(np.nonzero(restriction_multiplicities(
+                tH, tables[rK], f[:tH.classes.count])))
+        a, b = (np.concatenate([nz[t] for nz in nonzero]) for t in (0, 1))
+        size = np.array([nz[0].size for nz in nonzero])
+        start = np.cumsum(size) - size      # key k's first entry of a, b
+        per_cover = size[key_of]
+        cover = np.repeat(np.arange(key_of.size), per_cover)
+        # edge t of cover c is entry start[key_of[c]] + t of a and b
+        entry = np.arange(cover.size) + np.repeat(
+            start[key_of] - (np.cumsum(per_cover) - per_cover), per_cover)
+        i, j = np.array(lat.covers, dtype=np.int64)[cover].T
+        src = slot[offsets[i] + a[entry]]
+        tgt = slot[offsets[j] + b[entry]]
+        order = np.lexsort((tgt, src, cover))
+        edges = tuple(zip(src[order].tolist(), tgt[order].tolist()))
+    nodes = tuple(GammaNode(i, a) for i, n in enumerate(counts)
+                  for a in range(n))
     part = components(len(nodes), edges)
-    return GammaPoset(G, p, e, spos, ctx, tuple(nodes), tuple(offsets),
-                      tuple(edges), part)
+    return GammaPoset(G, p, e, spos, ctx, nodes, tuple(offsets[:-1].tolist()),
+                      edges, part)
 
 
 def gamma_poset(G, p, e):

@@ -328,13 +328,14 @@ def closure_members(G, seed):
     last round are multiplied by the seed. In a finite group the nonempty
     words already contain every inverse, so this is the generated subgroup.
     """
-    gens = np.unique(np.array([int(s) for s in seed], dtype=np.int64))
+    gens = np.array(sorted({int(s) for s in seed}), dtype=np.int64)
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        found = np.unique(G.mul[np.ix_(frontier, gens)])
-        frontier = found[~mask[found]]
+        found = np.zeros(G.order, dtype=bool)
+        found[G.mul[np.ix_(frontier, gens)]] = True
+        frontier = np.flatnonzero(found & ~mask)
         mask[frontier] = True
     return tuple(int(x) for x in np.flatnonzero(mask))
 
@@ -428,8 +429,8 @@ def _extend_p_subgroup(G, mem, gens, p):
         cosets = [marr]
         for _ in range(p - 1):
             cosets.append(G.mul[cosets[-1], x])
-        members = np.unique(np.concatenate(cosets))
-        if members.size != p * len(mem):
+        members = np.sort(np.concatenate(cosets))
+        if (members[1:] == members[:-1]).any():
             raise LatticeConstructionFailed("coset union has wrong size")
         seen[members] = True
         out.append((tuple(int(v) for v in members), x))

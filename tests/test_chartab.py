@@ -534,3 +534,12 @@ def test_relabelling_by_a_wrong_element_is_typed():
     with pytest.raises(TableConstructionFailed, match="not conjugate"):
         chartab.conjugated_table(G, CharContext(G).table(R), R.members, 0,
                                  S.local, S.members)
+
+
+def test_values_matrix_is_built_once_and_read_only():
+    t = CharContext(cached_group("S(4)")).table()
+    V = t.values_matrix()
+    assert V is t.values_matrix()
+    assert V.dtype == np.int64 and V.shape == (t.count, t.classes.count)
+    with pytest.raises(ValueError, match="read-only"):
+        V[0, 0] = 1

@@ -1,20 +1,28 @@
 """S and Gamma posets, strong embedding, and claim verification."""
+import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
 from types import SimpleNamespace
 
 import pytest
 
+import charposet
+import charposet.chartab
 import charposet.gamma
 from charposet.catalog import SEMIDIRECT_C4_C4, realize
 from charposet.errors import (
     HypothesisNotSatisfied,
     NotASylowNode,
     PreconditionViolated,
+    TableConstructionFailed,
 )
 from charposet.gamma import (
     _generating_set,
+    build_gamma_poset,
     gamma_poset,
     has_strongly_embedded_subgroup,
     s_node_images,
@@ -24,7 +32,11 @@ from charposet.gamma import (
     verify,
     x_of_sylow,
 )
-from charposet.group import all_subgroups, common_intersection_of_order
+from charposet.group import (
+    all_subgroups,
+    common_intersection_of_order,
+    p_lattice,
+)
 from util import (
     DIFFERENTIAL_GROUPS,
     brute_force_has_strongly_embedded,
@@ -36,6 +48,7 @@ from util import (
     every_element_strongly_embedded_check,
     five_conditions,
     full_comparability_partition,
+    per_node_gamma,
     subgroup_reaches_all_components,
 )
 
@@ -320,3 +333,60 @@ def test_node_images_by_composition_match_conjugation(text):
             assert img.tolist() == conj
             assert s_node_images(spos).tolist() == \
                 [conj[g] for g in _generating_set(G)]
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_transported_gamma_matches_per_node_tables(text):
+    # the build from class representatives by transport gives the Gamma
+    # of every node's own table and one restriction product per cover
+    G = cached_group(text)
+    for p in (2, 3):
+        for e in (0, 1):
+            gam = gamma_poset(G, p, e)
+            old = per_node_gamma(G, p, e)
+            assert gam.nodes == old.nodes, (p, e)
+            assert gam.offsets == old.offsets, (p, e)
+            assert gam.edges == old.edges, (p, e)
+            assert gam.partition.component_of == old.partition.component_of
+            assert gam.partition.component_sizes == \
+                old.partition.component_sizes
+
+
+def test_wrong_conjugating_element_is_typed():
+    G = realize("A(6)")
+    lat = p_lattice(G, 2)
+    i = next(i for i, (r, _) in enumerate(lat.conjugates) if r != i)
+    r, _ = lat.conjugates[i]
+    conjugates = list(lat.conjugates)
+    conjugates[i] = (r, 0)          # R itself, not the node i
+    G._memo[("p_lattice", 2)] = dataclasses.replace(
+        lat, conjugates=tuple(conjugates))
+    with pytest.raises(TableConstructionFailed, match="not conjugate"):
+        build_gamma_poset(G, 2, 0)
+
+
+def test_gamma_build_reads_representative_tables_only(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a non-representative table was built")
+
+    monkeypatch.setattr(charposet.chartab, "conjugated_table", refuse)
+    G = realize("A(6)")
+    gam = gamma_poset(G, 2, 0)
+    assert gam.node_count == 615 and gam.partition.count == 1
+    assert verify(G, 2, 0, "ThmA").status == "pass"
+
+
+def test_verify_does_not_import_numpy_ma():
+    # numpy.ma costs 12-14 ms to import; the 1-D np.unique imports it
+    code = ("import sys\n"
+            "from charposet.catalog import realize\n"
+            "from charposet.gamma import verify\n"
+            "assert verify(realize('A(6)'), 2, 0, 'ThmA').status == 'pass'\n"
+            "assert verify(realize('S(4)'), 2, 0, 'ThmB').status == 'pass'\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(charposet.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

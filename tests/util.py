@@ -18,9 +18,9 @@ from charposet.errors import (
     TableConstructionFailed,
 )
 from charposet.gamma import (
+    GammaNode,
     _generating_set,
     char_context,
-    restriction_multiplicities,
     s_node_images,
     s_poset,
     strongly_embedded_check,
@@ -295,6 +295,52 @@ def element_component_action(spos):
     return ElementAction(cimg, tuple(orbit), stabilizer)
 
 
+def node_restriction_multiplicities(ctx, H, K):
+    """M[a, b] = [phi_a, (psi_b)|_H] over the node tables ctx.table(H) and
+    ctx.table(K), each a table of its own, relabelled from its class
+    representative's when it is not one."""
+    q = ctx.q
+    tH, tK = ctx.table(H), ctx.table(K)
+    VH = tH.values_matrix()
+    VK = tK.values_matrix()
+    kcls = np.array(
+        [int(tK.classes.class_of[K.index_of[H.members[r]]])
+         for r in tH.classes.reps], dtype=np.int64)
+    # psi restricted to H, evaluated at H's inverse classes
+    R = VK[:, kcls][:, tH.classes.inverse_class]
+    W = (VH * tH.classes.sizes[None, :]) % q
+    M = (W @ R.T) % q
+    return (M * inv_mod(H.order, q)) % q
+
+
+@dataclass(frozen=True)
+class PerNodeGamma:
+    nodes: tuple
+    offsets: tuple
+    edges: tuple
+    partition: object
+
+
+def per_node_gamma(G, p, e):
+    """Gamma(p, e) from every node's own table, as ctx.table relabels it
+    across its class, and one restriction product per cover: the oracle
+    for `gamma.build_gamma_poset`, which transports the representatives'."""
+    lat = s_poset(G, p, e).lattice
+    ctx = char_context(G)
+    nodes = []
+    offsets = []
+    for i, sub in enumerate(lat.nodes):
+        offsets.append(len(nodes))
+        nodes.extend(GammaNode(i, a) for a in range(ctx.table(sub).count))
+    edges = []
+    for i, j in lat.covers:
+        M = node_restriction_multiplicities(ctx, lat.nodes[i], lat.nodes[j])
+        for a, b in zip(*np.nonzero(M)):
+            edges.append((offsets[i] + int(a), offsets[j] + int(b)))
+    return PerNodeGamma(tuple(nodes), tuple(offsets), tuple(edges),
+                        components(len(nodes), edges))
+
+
 def full_comparability_partition(G, p, e):
     """Gamma(p, e)'s partition with edges over every comparable pair H < K
     of S(p, e), not only the index-p covers."""
@@ -305,7 +351,7 @@ def full_comparability_partition(G, p, e):
     for i, H in enumerate(lat.nodes):
         for j, K in enumerate(lat.nodes):
             if H.order < K.order and H.member_set <= K.member_set:
-                M = restriction_multiplicities(ctx, H, K)
+                M = node_restriction_multiplicities(ctx, H, K)
                 edges.extend((int(offsets[i]) + int(a), int(offsets[j]) + int(b))
                              for a, b in zip(*np.nonzero(M)))
     return components(int(offsets[-1]), edges)
