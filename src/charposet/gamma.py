@@ -444,6 +444,16 @@ def _require_pe1_divides(G, p, e):
 
 
 def _claim_thm_a(G, p, e):
+    """Theorem A: |pi_0 Gamma_{p,e}| = x * |pi_0 S_{p,e}|, x = |pi_0 X(P)|.
+
+    When a Sylow contains C_{p^{e+1}} x C_{p^{e+1}} or an elementary
+    abelian group of order p^{e+2}, it also compares both counts with
+    |G : Stab(C_0)|, the orbit length of the Sylow's component.
+    The s_structural pair is a consistency check only: every p-subgroup
+    lies in a Sylow, so every component of S holds one, and G is
+    transitive on its Sylows (Sylow's theorem), so |G : Stab(C_0)| cannot
+    differ from |pi_0 S|. Only the gamma_structural pair carries content.
+    """
     _require_pe1_divides(G, p, e)
     spos = s_poset(G, p, e)
     gam = gamma_poset(G, p, e)

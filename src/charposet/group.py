@@ -202,18 +202,18 @@ def table_from_mul(mul, label="G", words=None, direct_factors=None):
                       label=label, words=words, direct_factors=direct_factors)
 
 
-def _compose(a, b):
-    """Permutation product 'a then b' on points."""
-    return tuple(b[a[i]] for i in range(len(a)))
-
-
 def closure_of_permutations(degree, gens, label="G", cap=None):
-    """BFS closure over generator words; returns (GroupTable, perm->index map).
+    """Level-synchronous BFS closure over generator words.
 
-    Element enumeration is breadth-first over words, generators in input
-    order, so numbering is reproducible. The BFS records right[g][x] = x*g
-    and, for each new element y = x*g, its parent (x, g); the table is then
-    filled a column at a time from z*y = (z*x)*g, one gather per element.
+    Returns (GroupTable, index), index mapping each generator's image tuple
+    to its element index. Element enumeration is breadth-first over words,
+    generators in input order, so numbering is reproducible: each level's
+    frontier is composed with every generator in one gather, and its new
+    elements are numbered in (element, generator) order, exactly as a queue
+    BFS numbers them. The BFS records right[x*|gens| + g] = x*g and, for each
+    new element y = x*g, its parent (x, g); the table is then filled in
+    place, one level of columns per gather, from z*y = (z*x)*g. Raises
+    ClosureCapExceeded when |G| > cap.
     """
     if cap is None:
         cap = order_cap()
@@ -221,41 +221,49 @@ def closure_of_permutations(degree, gens, label="G", cap=None):
     for g in gens:
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise InvalidPermutation(f"not a bijection on {degree} points: {g}")
-    ident = tuple(range(degree))
-    elems = [ident]
-    index = {ident: 0}
-    words = ["e"]
-    parent = [None]
-    right = [[] for _ in gens]
+    ngens = len(gens)
+    dtype = np.min_scalar_type(max(degree - 1, 0))
+    garr = np.array(gens, dtype=dtype).reshape(ngens, degree)
+    row = np.dtype((np.void, degree * dtype.itemsize))     # one permutation
     syms = [
         _GEN_SYMBOLS[i] if i < len(_GEN_SYMBOLS) else f"g{i}"
-        for i in range(len(gens))
+        for i in range(ngens)
     ]
-    pos = 0
-    while pos < len(elems):
-        cur = elems[pos]
-        for gi, g in enumerate(gens):
-            new = _compose(cur, g)
-            j = index.get(new)
-            if j is None:
-                if len(elems) >= cap:
-                    raise ClosureCapExceeded(
-                        f"closure exceeds cap {cap} (degree {degree})")
-                j = index[new] = len(elems)
-                elems.append(new)
-                parent.append((pos, gi))
-                words.append(syms[gi] if pos == 0 else words[pos] + "*" + syms[gi])
-            right[gi].append(j)
-        pos += 1
-    n = len(elems)
-    right = np.array(right, dtype=np.int32).reshape(len(gens), n)
+    frontier = np.arange(degree, dtype=dtype)[None, :]
+    index = {frontier.tobytes(): 0}        # permutation bytes -> element
+    words = ["e"]
+    right = []                             # per level: x*g, (x, g) order
+    parents = []                           # per level: (x, g) of each new y
+    while frontier.shape[0]:
+        # cand[x, g] = frontier[x] then gens[g]
+        cand = garr[:, frontier].transpose(1, 0, 2).reshape(-1, degree)
+        n0 = len(index)
+        ids = np.array([index.setdefault(key, len(index)) for key in
+                        np.ascontiguousarray(cand).view(row)
+                        .ravel().tolist()], dtype=np.int32)
+        if len(index) > cap:
+            raise ClosureCapExceeded(
+                f"closure exceeds cap {cap} (degree {degree})")
+        # a new id is numbered on first sight, above every id seen before it
+        seen = np.maximum.accumulate(np.concatenate(([n0 - 1], ids[:-1])))
+        pos = np.flatnonzero(ids > seen)
+        xs = (n0 - frontier.shape[0]) + pos // ngens
+        gis = (pos % ngens).astype(np.int32)
+        words.extend(syms[gi] if x == 0 else f"{words[x]}*{syms[gi]}"
+                     for x, gi in zip(xs.tolist(), gis.tolist()))
+        right.append(ids)
+        parents.append((xs, gis))
+        frontier = cand[pos]
+    n = len(index)
+    right = np.concatenate(right)
     mul = np.empty((n, n), dtype=np.int32)
     mul[:, 0] = np.arange(n, dtype=np.int32)
-    for y in range(1, n):
-        x, gi = parent[y]
-        mul[:, y] = right[gi][mul[:, x]]
+    y = 1
+    for xs, gis in parents:
+        mul[:, y:y + xs.size] = right[mul[:, xs] * ngens + gis]
+        y += xs.size
     table = table_from_mul(mul, label=label, words=tuple(words))
-    return table, index
+    return table, {g: int(right[gi]) for gi, g in enumerate(gens)}
 
 
 def group_from_generators(degree, gens, label="G", cap=None):
@@ -286,35 +294,66 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.label})"
 
 
-def make_subgroup(G, members):
-    """A closed member set of G as a Subgroup, its table read from G's.
+def make_subgroups(G, rows):
+    """Closed member rows of G, all of one order, as Subgroups in one batch.
 
+    rows is a (t, m) array, each row sorted and holding distinct members
+    of G. Every table is read from G's at once: one gather of all products,
+    then one searchsorted over the rows, row i offset by i*|G|, gives the
+    local indices, and a product missing from its row raises NotASubgroup.
+    One scatter makes all membership masks.
     Closure under products is the one check a finite group needs. The whole
     group's table is G itself, which shares G's memo.
     """
-    members = tuple(sorted(int(m) for m in set(members)))
+    rows = np.asarray(rows, dtype=np.int64)
+    t, m = rows.shape
+    masks = np.zeros((t, G.order), dtype=bool)
+    masks[np.arange(t)[:, None], rows] = True
+    masks.setflags(write=False)
+    if m == G.order:
+        locals_ = [G] * t
+    else:
+        starts = np.arange(t)[:, None]
+        flat = (rows + starts * G.order).ravel()
+
+        def local_index(x):
+            # position of each product in its own row, or NotASubgroup
+            key = x.reshape(t, -1) + starts * G.order
+            at = np.searchsorted(flat, key).clip(max=flat.size - 1)
+            if (flat[at] != key).any():
+                raise NotASubgroup(
+                    "member set is not closed under multiplication")
+            return (at - starts * m).astype(np.int32).reshape(x.shape)
+
+        mul = local_index(G.mul[rows[:, :, None], rows[:, None, :]])
+        inv = local_index(G.inv[rows])
+        orders = G.elem_order[rows]
+        for a in (mul, inv, orders):
+            a.setflags(write=False)
+        label = f"{G.label}|{{{m}}}"
+        locals_ = [GroupTable(m, mul[i], inv[i], orders[i], label=label)
+                   for i in range(t)]
+    out = []
+    for members, local, mask in zip(rows.tolist(), locals_, masks):
+        members = tuple(members)
+        out.append(Subgroup(parent=G, members=members, local=local,
+                            index_of={x: i for i, x in enumerate(members)},
+                            member_set=frozenset(members), mask=mask))
+    return out
+
+
+def make_subgroup(G, members):
+    """A closed member set of G as a Subgroup: the one-row make_subgroups.
+
+    members may be any iterable and may repeat. The identity and the range
+    are checked here; make_subgroups checks closure.
+    """
+    members = sorted({int(x) for x in members})
     if not members or members[0] != 0:
         raise NotASubgroup("subgroup must contain the identity")
     if members[-1] >= G.order:
         raise NotASubgroup(f"member {members[-1]} >= |G| = {G.order}")
-    marr = np.array(members, dtype=np.int32)
-    lut = np.full(G.order, -1, dtype=np.int32)
-    lut[marr] = np.arange(len(members), dtype=np.int32)
-    mask = lut >= 0
-    mask.setflags(write=False)
-    local = G
-    if len(members) < G.order:
-        local_mul = lut[G.mul[np.ix_(marr, marr)]]
-        if (local_mul < 0).any():
-            raise NotASubgroup("member set is not closed under multiplication")
-        local = GroupTable(len(members), local_mul, lut[G.inv[marr]],
-                           G.elem_order[marr],
-                           label=f"{G.label}|{{{len(members)}}}")
-        for a in (local.mul, local.inv, local.elem_order):
-            a.setflags(write=False)
-    return Subgroup(parent=G, members=members, local=local,
-                    index_of={int(m): i for i, m in enumerate(members)},
-                    member_set=frozenset(members), mask=mask)
+    return make_subgroups(G, np.array([members]))[0]
 
 
 def whole_group_subgroup(G):
@@ -327,16 +366,23 @@ def closure_members(G, seed):
     Breadth-first over words in the seed: only the elements found in the
     last round are multiplied by the seed. In a finite group the nonempty
     words already contain every inverse, so this is the generated subgroup.
+
+    Lagrange exit: once more than |G|/2 elements are found, the generated
+    subgroup H has |G : H| = |G|/|H| < 2, so H = G and the search stops.
     """
     gens = np.array(sorted({int(s) for s in seed}), dtype=np.int64)
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
+    size = 1
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
+        if 2 * size > G.order:
+            return tuple(range(G.order))
         found = np.zeros(G.order, dtype=bool)
         found[G.mul[np.ix_(frontier, gens)]] = True
         frontier = np.flatnonzero(found & ~mask)
         mask[frontier] = True
+        size += frontier.size
     return tuple(int(x) for x in np.flatnonzero(mask))
 
 
@@ -496,18 +542,22 @@ def _build_p_lattice(G, p):
     H < K is one extension step of H (any x in K outside H lies in N_G(H)
     and has x^p in H), and the covers of H^t are the H^t < K^t, so each
     cover is recorded once. Each node keeps generators: one element of order
-    p, one more per step, conjugated along with the node.
+    p, one more per step, conjugated along with the node. The Subgroups of
+    one level are made together, by one make_subgroups call.
     """
-    gens = {
-        tuple(sorted({G.power(x, i) for i in range(p)})): (x,)
-        for x in range(G.order) if int(G.elem_order[x]) == p
-    }
+    xs = np.flatnonzero(G.elem_order == p)
+    powers = [np.zeros_like(xs), xs]         # x^0, ..., x^(p-1) as columns
+    # an element of order p bounds p by |G|; p itself may be any huge prime
+    for _ in range(p - 2 if xs.size else 0):
+        powers.append(G.mul[powers[-1], xs])
+    cyclic = np.sort(np.stack(powers, axis=1), axis=1).tolist()
+    gens = {tuple(c): (x,) for c, x in zip(cyclic, xs.tolist())}
     level = sorted(gens)
-    members = []
+    levels = []
     classes = {}                     # member tuple -> (representative, g)
     steps = []                       # (H, K) member tuples, |K : H| = p
     while level:
-        members.extend(level)
+        levels.append(level)
         above = set()
         for mem in level:
             if mem in classes:
@@ -521,9 +571,10 @@ def _build_p_lattice(G, p):
                 above.update(found)
                 gens.update(zip(found, _conjugates(G, gens[mem] + (x,), T)))
         level = sorted(above)
+    members = [mem for level in levels for mem in level]
     node_index = {mem: i for i, mem in enumerate(members)}
     covers = sorted((node_index[K], node_index[H]) for H, K in steps)
-    nodes = tuple(make_subgroup(G, mem) for mem in members)
+    nodes = tuple(s for level in levels for s in make_subgroups(G, level))
     sylow = p ** p_valuation(G.order, p)
     if nodes and nodes[-1].order != sylow:
         raise LatticeConstructionFailed(

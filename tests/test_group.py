@@ -91,6 +91,72 @@ def test_closure_cap():
         group_from_generators(30, [cyc], cap=10)
 
 
+def _realization_closures(monkeypatch, text):
+    """(degree, gens) of every permutation closure realize(text) makes."""
+    calls = []
+    fill = closure_of_permutations
+
+    def recording(degree, gens, label="G", cap=None):
+        calls.append((degree, gens))
+        return fill(degree, gens, label=label, cap=cap)
+
+    monkeypatch.setattr(group_module, "closure_of_permutations", recording)
+    monkeypatch.setattr("charposet.catalog.closure_of_permutations",
+                        recording)
+    G = realize(text)
+    monkeypatch.undo()
+    return G, calls
+
+
+@pytest.mark.parametrize("text", ["PSL(2,7)", "A(6)"])
+def test_closure_cap_boundary(monkeypatch, text):
+    G, calls = _realization_closures(monkeypatch, text)
+    (degree, gens), = calls
+    H, _ = closure_of_permutations(degree, gens, cap=G.order)
+    assert np.array_equal(H.mul, G.mul)
+    with pytest.raises(ClosureCapExceeded, match=f"exceeds cap {G.order - 1}"):
+        closure_of_permutations(degree, gens, cap=G.order - 1)
+
+
+@pytest.mark.parametrize("text", ["S(4)", "A(6)", "PSL(2,11)", "M(2,4)"])
+def test_generator_index_is_the_generator_word(monkeypatch, text):
+    _, calls = _realization_closures(monkeypatch, text)
+    for degree, gens in calls:
+        G, index = closure_of_permutations(degree, gens)
+        assert set(index) == {tuple(g) for g in gens}
+        for sym, g in zip("abcdefghijklmnopqrstuvwxyz", gens):
+            assert G.words[index[tuple(g)]] == sym
+
+
+@pytest.mark.parametrize("text, parts", [
+    ("sd[8: (1 2 3 4), (2 4)(5 6 7 8); (1 2 3 4); (2 4)(5 6 7 8)]",
+     ((0, 1, 3, 7), (0, 2, 6, 11))),
+    # the complement's generator is not among G's: a third generator c
+    ("sd[3: (1 2 3), (1 2); (1 2 3); (2 3)]", ((0, 1, 4), (0, 3))),
+])
+def test_semidirect_realization_keeps_its_parts(text, parts):
+    G = realize(text)
+    assert G.semidirect_parts == parts
+
+
+def test_closure_lagrange_exit_on_psl_2_11():
+    G = cached_group("PSL(2,11)")
+    # the realization's generators a and b give G
+    seed = [G.words.index("a"), G.words.index("b")]
+    assert closure_members(G, seed) == tuple(range(G.order))
+    assert closure_members(G, seed) == fixed_point_closure_members(G, seed)
+    # a Borel subgroup: the normalizer of a Sylow 11-subgroup, order 55
+    x = int(np.flatnonzero(G.elem_order == 11)[0])
+    B = normalizer(G, subgroup_closure(G, [x]))
+    assert B.order == 55
+    y = next(m for m in B.members if G.elem_order[m] == 5)
+    for seed in ([x, y], [y], list(B.members[:30])):
+        got = closure_members(G, seed)
+        assert got == fixed_point_closure_members(G, seed)
+        assert set(got) <= B.member_set
+    assert closure_members(G, [x, y]) == B.members
+
+
 def test_order_cap_env_override(monkeypatch):
     monkeypatch.setenv("CHARPOSET_ORDER_CAP", "64")
     assert order_cap() == 64

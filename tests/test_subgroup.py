@@ -13,7 +13,9 @@ from charposet.group import (
     closure_members,
     enumerate_p_subgroups,
     make_subgroup,
+    make_subgroups,
     normalizer,
+    p_lattice,
     whole_group_subgroup,
 )
 from util import (
@@ -104,3 +106,45 @@ def test_no_subgroup_table_goes_through_table_from_mul(monkeypatch):
     monkeypatch.setattr(group_module, "table_from_mul", refuse)
     assert verify(A6, 2, 0, "ThmA").status == "pass"
     assert gamma_poset(DD, 2, 0).partition.count == expected
+
+
+def test_batch_with_one_non_closed_row_is_rejected():
+    G = cached_group("A(6)")
+    involution = int(np.flatnonzero(G.elem_order == 2)[0])
+    three = int(np.flatnonzero(G.elem_order == 3)[0])
+    closed = [0, involution]
+    assert len(make_subgroups(G, [closed])) == 1
+    with pytest.raises(NotASubgroup, match="not closed"):
+        make_subgroups(G, [closed, [0, three]])
+    with pytest.raises(NotASubgroup, match="not closed"):
+        make_subgroups(G, [[0, three], closed])
+
+
+@pytest.mark.parametrize("text", ["A(6)", "D(4) x D(4)", "S(4)"])
+def test_lattice_nodes_are_read_only_and_indexed_by_members(text):
+    G = cached_group(text)
+    for p in (2, 3):
+        for H in enumerate_p_subgroups(G, p).nodes:
+            assert not H.mask.flags.writeable
+            assert np.flatnonzero(H.mask).tolist() == list(H.members)
+            assert H.member_set == frozenset(H.members)
+            assert H.index_of == {m: i for i, m in enumerate(H.members)}
+            for a in (H.local.mul, H.local.inv, H.local.elem_order):
+                assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                H.mask[0] = False
+
+
+def test_lattice_makes_its_nodes_once_per_level(monkeypatch):
+    calls = []
+    batch = make_subgroups
+
+    def counting(G, rows):
+        calls.append(len(rows))
+        return batch(G, rows)
+
+    monkeypatch.setattr(group_module, "make_subgroups", counting)
+    lat = p_lattice(realize("A(6)"), 2)
+    assert sorted({H.order for H in lat.nodes}) == [2, 4, 8]
+    assert len(calls) == 3
+    assert sum(calls) == lat.node_count
