@@ -260,9 +260,9 @@ def abelian_rows(G, q):
 def clifford_rows(G, cls, q, p, covers):
     """Irr(G) of a non-abelian p-group G from the tables of maximal subgroups.
 
-    `covers` yields (members, table) pairs: the elements of a maximal
-    subgroup L as indices of G, ascending, and Irr(L) mod q. L is normal of
-    index p, so G = L<y> for y the least element outside L.
+    `covers` yields (members, table) pairs for maximal subgroups L: Irr(L)
+    mod q, and members[t] the index in G of L's element t, in any order.
+    L is normal of index p, so G = L<y> for y the least element outside L.
     - Linear: each linear chi restricts to a G-invariant linear psi of the
       first L, and each such psi extends in p ways, chi(m y^j) =
       psi(m) mu^j with mu^p = psi(y^p), on exponents of omega of order
@@ -347,30 +347,6 @@ def _validated_table(G, cls, q, rows):
     return table
 
 
-def conjugated_table(G, tR, rmembers, g, T, members):
-    """Irr(S) for S = R^g in G, relabelled from tR = Irr(R); T is S's table.
-
-    R-local t goes to the S-local index of g^-1 R[t] g. S's classes are
-    renumbered by their least element, as `ConjugacyData` requires, and the
-    class sizes and value columns follow.
-    """
-    marr = np.asarray(members)
-    img = G.conj_set(rmembers, g)
-    perm = np.searchsorted(marr, img).clip(max=marr.size - 1)
-    if (marr[perm] != img).any():
-        raise TableConstructionFailed("the subgroups are not conjugate by g")
-    old = tR.classes.class_of[np.argsort(perm)]    # S-local -> R's class
-    first = np.unique(old, return_index=True)[1]
-    order = np.argsort(first)                  # new class k is old class order[k]
-    class_of = np.argsort(order).astype(np.int32)[old]
-    reps = first[order]
-    cls = _class_data(T, class_of, reps.tolist(), tR.classes.sizes[order],
-                      class_of[T.inv[reps]])
-    V = tR.values_matrix()[:, order].tolist()
-    rows = [(c.degree, tuple(v)) for c, v in zip(tR.chars, V)]
-    return _validated_table(T, cls, tR.q, rows)
-
-
 def irr_table(G, q):
     """Full irreducible character table of G as residues mod q.
 
@@ -409,20 +385,20 @@ def check_row_orthogonality(table):
 class CharContext:
     """Shared-modulus character tables for one parent group and its subgroups.
 
-    Tables are cached by member tuple, and the whole group's under None
-    however it is asked for. A proper p-subgroup S is a node of the parent's
-    S_{p,0} lattice. A non-abelian class representative there, or a
-    non-abelian p-group G itself, is built by `clifford_rows` from the
-    cached tables of its lower covers in the lattice; any other group goes
-    through `irr_table`.
+    Tables are cached by member tuple, the whole group's under
+    tuple(range(|G|)) however it is asked for. Each table is built from the
+    group it belongs to: one that is not a p-group, or is abelian, through
+    `irr_table`, and a non-abelian p-group (a node of the parent's S_{p,0}
+    lattice, or G itself) by `clifford_rows` from its lower covers in the
+    lattice. A cover R^g is read through its class representative R, as
+    Irr(R) on R's members carried into the node by g, so a Clifford build
+    asks only for class representatives' tables.
 
-    The Gamma build (`gamma.build_gamma_poset`) asks only for the tables of
-    class representatives, and reaches every other node by transport. Any
-    other node's table is still built on request, relabelled from its
-    representative's along the conjugation (`conjugated_table`), for the
-    callers that need one: `restrict_values`, `induce` and the lower covers
-    read by `clifford_rows`. The cache follows a single-writer/multi-reader
-    contract; tables themselves are immutable.
+    The Gamma build (`gamma.build_gamma_poset`) also asks only for class
+    representatives' tables and reaches every other node by transport;
+    `restrict_values` and `induce` may ask for any subgroup's. The cache
+    follows a single-writer/multi-reader contract; tables themselves are
+    immutable.
     """
 
     def __init__(self, G, q=None):
@@ -434,39 +410,40 @@ class CharContext:
     def table(self, S=None):
         """CharTable of the subgroup S (or of the whole group if S is None)."""
         G = self.group
-        if S is not None and S.parent is not G:
+        if S is None:
+            T, key = G, tuple(range(G.order))
+        elif S.parent is not G:
             raise ContextMismatch("subgroup belongs to a different group")
-        key = None if S is None or S.order == G.order else S.members
+        else:
+            T, key = S.local, S.members
         tab = self._tables.get(key)
         if tab is None:
-            if key is None:
-                tab = self._build(G, tuple(range(G.order)))
-            else:
-                tab = self._build(S.local, key)
-            self._tables[key] = tab
+            tab = self._tables[key] = self._build(T, key)
         return tab
 
     def _build(self, T, members):
         """Irr of the subgroup with these members, whose own table is T."""
         pk = prime_power(T.order)
-        if pk is None or (T.order == self.group.order and T.is_abelian()):
+        if pk is None or T.is_abelian():
             return irr_table(T, self.q)
         lat = p_lattice(self.group, pk[0])
-        i = lat.node_index[members]
-        r, g = lat.conjugates[i]
-        if r != i:
-            R = lat.nodes[r]
-            return conjugated_table(self.group, self.table(R), R.members,
-                                    g, T, members)
-        if T.is_abelian():
-            return irr_table(T, self.q)
         marr = np.array(members, dtype=np.int64)
-        covers = ((np.searchsorted(marr, lat.nodes[j].members),
-                   self.table(lat.nodes[j]))
-                  for j in lat.lower[i])
+        covers = (self._cover(lat, j, marr)
+                  for j in lat.lower[lat.node_index[members]])
         cls = conjugacy_classes(T)
         return _validated_table(
             T, cls, self.q, clifford_rows(T, cls, self.q, pk[0], covers))
+
+    def _cover(self, lat, j, marr):
+        """Lower cover j = R^g of the node with members marr, as (at, Irr(R)):
+        at[t] is the node-local index of g^-1 R[t] g."""
+        r, g = lat.conjugates[j]
+        R = lat.nodes[r]
+        img = self.group.conj_set(R.members, g)
+        at = np.searchsorted(marr, img).clip(max=marr.size - 1)
+        if (marr[at] != img).any():
+            raise TableConstructionFailed("the subgroups are not conjugate by g")
+        return at, self.table(R)
 
     def whole(self):
         return whole_group_subgroup(self.group)

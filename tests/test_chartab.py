@@ -44,6 +44,7 @@ from util import (
     cached_group,
     check_column_orthogonality,
     complex_character_values,
+    conjugated_table,
     direct_product_char,
     interpolated_charpoly,
     lift_through_complement,
@@ -486,30 +487,42 @@ def _direct_table(T, q):
     return cls, sorted(dixon_rows(T, cls, q))
 
 
+def _assert_table_is(table, cls, rows, where):
+    got = table.classes
+    assert got.reps == cls.reps, where
+    for name in ("class_of", "sizes", "inverse_class"):
+        a, b = getattr(got, name), getattr(cls, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (where, name)
+    assert [(c.degree, c.values) for c in table.chars] == rows, where
+
+
 @pytest.mark.parametrize("text,p", [
     (text, p) for text in ("A(6)", "S(6)", "PSL(2,7)", "PSL(2,8)",
                            "PSL(2,11)", "D(4) x D(4)", "X(3,+) x C(3)")
     for p in (2, 3) if cached_group(text).order % p == 0])
 def test_relabelled_tables_equal_direct_builds(text, p):
-    # every node's table, relabelled from its class representative's or
-    # built there, equals the table built from the node's own group table
+    # every node's table, as CharContext builds it from the node's own
+    # group, equals the table built by Dixon (or Hom(S, GF(q)^*)) from that
+    # group, and the table relabelled from its class representative's
+    # along the conjugation (util.conjugated_table)
     G = cached_group(text)
+    lat = p_lattice(G, p)
     ctx = CharContext(G)
     direct = {}
     relabelled = 0
-    for i, S in enumerate(p_lattice(G, p).nodes):
+    for i, S in enumerate(lat.nodes):
         table = ctx.table(S)
         key = S.local.mul.tobytes()
         if key not in direct:
             direct[key] = _direct_table(S.local, ctx.q)
-        cls, rows = direct[key]
-        got = table.classes
-        assert got.reps == cls.reps, i
-        for name in ("class_of", "sizes", "inverse_class"):
-            a, b = getattr(got, name), getattr(cls, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (i, name)
-        assert [(c.degree, c.values) for c in table.chars] == rows, i
-        relabelled += p_lattice(G, p).conjugates[i][0] != i
+        _assert_table_is(table, *direct[key], i)
+        r, g = lat.conjugates[i]
+        R = lat.nodes[r]
+        old = conjugated_table(G, ctx.table(R), R.members, g, S.local,
+                               S.members)
+        _assert_table_is(table, old.classes,
+                         [(c.degree, c.values) for c in old.chars], (i, r))
+        relabelled += r != i
     assert relabelled > 0
 
 
@@ -532,8 +545,26 @@ def test_relabelling_by_a_wrong_element_is_typed():
     R, S = lat.nodes[r], lat.nodes[1]
     assert r != 1
     with pytest.raises(TableConstructionFailed, match="not conjugate"):
-        chartab.conjugated_table(G, CharContext(G).table(R), R.members, 0,
-                                 S.local, S.members)
+        conjugated_table(G, CharContext(G).table(R), R.members, 0, S.local,
+                         S.members)
+
+
+def test_clifford_cover_by_a_wrong_element_is_typed():
+    # S(6) at p = 2: node 330 (order 8) is a non-abelian representative
+    # whose first lower cover, node 76, is not one; taken by g = 1, the
+    # cover's representative lies outside node 330
+    G = realize("S(6)")
+    lat = p_lattice(G, 2)
+    S = lat.nodes[330]
+    r, _ = lat.conjugates[76]
+    assert lat.conjugates[330][0] == 330 and not S.local.is_abelian()
+    assert r != 76 and 76 in lat.lower[330]
+    conjugates = list(lat.conjugates)
+    conjugates[76] = (r, 0)
+    G._memo[("p_lattice", 2)] = dataclasses.replace(
+        lat, conjugates=tuple(conjugates))
+    with pytest.raises(TableConstructionFailed, match="not conjugate"):
+        CharContext(G).table(S)
 
 
 def test_values_matrix_is_built_once_and_read_only():

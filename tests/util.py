@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from charposet.catalog import catalog_roster, realize
-from charposet.chartab import _primitive_root
+from charposet.chartab import _class_data, _primitive_root, _validated_table
 from charposet.errors import (
     ActionNotCompatible,
     CharposetError,
@@ -295,10 +295,33 @@ def element_component_action(spos):
     return ElementAction(cimg, tuple(orbit), stabilizer)
 
 
+def conjugated_table(G, tR, rmembers, g, T, members):
+    """Irr(S) for S = R^g in G, relabelled from tR = Irr(R); T is S's table.
+
+    R-local t goes to the S-local index of g^-1 R[t] g. S's classes are
+    renumbered by their least element, as `ConjugacyData` requires, and the
+    class sizes and value columns follow.
+    """
+    marr = np.asarray(members)
+    img = G.conj_set(rmembers, g)
+    perm = np.searchsorted(marr, img).clip(max=marr.size - 1)
+    if (marr[perm] != img).any():
+        raise TableConstructionFailed("the subgroups are not conjugate by g")
+    old = tR.classes.class_of[np.argsort(perm)]    # S-local -> R's class
+    first = np.unique(old, return_index=True)[1]
+    order = np.argsort(first)                  # new class k is old class order[k]
+    class_of = np.argsort(order).astype(np.int32)[old]
+    reps = first[order]
+    cls = _class_data(T, class_of, reps.tolist(), tR.classes.sizes[order],
+                      class_of[T.inv[reps]])
+    V = tR.values_matrix()[:, order].tolist()
+    rows = [(c.degree, tuple(v)) for c, v in zip(tR.chars, V)]
+    return _validated_table(T, cls, tR.q, rows)
+
+
 def node_restriction_multiplicities(ctx, H, K):
     """M[a, b] = [phi_a, (psi_b)|_H] over the node tables ctx.table(H) and
-    ctx.table(K), each a table of its own, relabelled from its class
-    representative's when it is not one."""
+    ctx.table(K), each built from the node's own group."""
     q = ctx.q
     tH, tK = ctx.table(H), ctx.table(K)
     VH = tH.values_matrix()
@@ -322,8 +345,8 @@ class PerNodeGamma:
 
 
 def per_node_gamma(G, p, e):
-    """Gamma(p, e) from every node's own table, as ctx.table relabels it
-    across its class, and one restriction product per cover: the oracle
+    """Gamma(p, e) from every node's own table, as ctx.table builds it from
+    the node's group, and one restriction product per cover: the oracle
     for `gamma.build_gamma_poset`, which transports the representatives'."""
     lat = s_poset(G, p, e).lattice
     ctx = char_context(G)
