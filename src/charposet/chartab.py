@@ -97,9 +97,9 @@ def dixon_modulus(G):
     """Smallest prime q with q = 1 (mod exp(G)) and q > |G|^2."""
     e = G.exponent()
     n = G.order
-    q = e + 1
+    q = n * n + 1 + (-n * n) % e        # the least q = 1 (mod e) above n^2
     for _ in range(_MODULUS_SEARCH_LIMIT):
-        if q > n * n and is_prime(q):
+        if is_prime(q):
             return q
         q += e
     raise ModulusSearchFailed(f"no modulus below bound for |G| = {n}")
@@ -385,14 +385,18 @@ def check_row_orthogonality(table):
 class CharContext:
     """Shared-modulus character tables for one parent group and its subgroups.
 
-    Tables are cached by member tuple, the whole group's under
-    tuple(range(|G|)) however it is asked for. Each table is built from the
-    group it belongs to: one that is not a p-group, or is abelian, through
-    `irr_table`, and a non-abelian p-group (a node of the parent's S_{p,0}
-    lattice, or G itself) by `clifford_rows` from its lower covers in the
-    lattice. A cover R^g is read through its class representative R, as
-    Irr(R) on R's members carried into the node by g, so a Clifford build
-    asks only for class representatives' tables.
+    A table is cached on the subgroup's own multiplication table (S.local,
+    G for the whole group) under ("irr", q), so the subgroups that share a
+    local table (`make_subgroups`) share one CharTable: classes are
+    numbered by least local element and rows sorted, so Irr depends on the
+    local table only. A subgroup made on its own (Phi(G), a normalizer)
+    has its own local table, and so its own CharTable. Each table is built
+    from the group it belongs to: one that is not a p-group, or is abelian,
+    through `irr_table`, and a non-abelian p-group (a node of the parent's
+    S_{p,0} lattice, or G itself) by `clifford_rows` from its lower covers
+    in the lattice. A cover R^g is read through its class representative
+    R, as Irr(R) on R's members carried into the node by g, so a Clifford
+    build asks only for class representatives' tables.
 
     The Gamma build (`gamma.build_gamma_poset`) also asks only for class
     representatives' tables and reaches every other node by transport;
@@ -405,21 +409,17 @@ class CharContext:
         self.group = G
         self.q = q if q is not None else dixon_modulus(G)
         _require_int64_headroom(G.order, self.q)
-        self._tables = {}
 
     def table(self, S=None):
         """CharTable of the subgroup S (or of the whole group if S is None)."""
         G = self.group
         if S is None:
-            T, key = G, tuple(range(G.order))
+            T, members = G, tuple(range(G.order))
         elif S.parent is not G:
             raise ContextMismatch("subgroup belongs to a different group")
         else:
-            T, key = S.local, S.members
-        tab = self._tables.get(key)
-        if tab is None:
-            tab = self._tables[key] = self._build(T, key)
-        return tab
+            T, members = S.local, S.members
+        return T.memo(("irr", self.q), lambda: self._build(T, members))
 
     def _build(self, T, members):
         """Irr of the subgroup with these members, whose own table is T."""

@@ -200,10 +200,11 @@ def _transported_rows(G, R, tR, gs, members):
 def _cover_keys(G, lat, tables, g):
     """Each cover's key (r_H, r_K, f), as the rows of one int array.
 
+    r_H (r_K) is the least representative with R_H's (R_K's) table object.
     f[c] is the class of R_K that holds g_j g_i^-1 x g_i g_j^-1 for the
-    representative x of R_H's class c, padded with 0s (the identity's class)
-    to the longest R_H. Returns (keys, key_of): the distinct rows, sorted,
-    and each cover's row index.
+    representative x of R_H's class c, padded with 0s (the identity's
+    class) to the longest R_H. Returns (keys, key_of): the distinct rows,
+    sorted, and each cover's row index.
     """
     pos = {r: k for k, r in enumerate(tables)}
     width = max(t.classes.count for t in tables.values())
@@ -220,11 +221,21 @@ def _cover_keys(G, lat, tables, g):
     fusion = class_in[rep[j, None], G.conj_set(reps[rep[i]], h[:, None])]
     if (fusion < 0).any():
         raise TableConstructionFailed("a cover is not an inclusion")
-    node = np.array(list(tables), dtype=np.int64)
-    keys, key_of = np.unique(
-        np.column_stack([node[rep[i]], node[rep[j]], fusion]), axis=0,
-        return_inverse=True)
-    return keys, key_of.reshape(-1)
+    first = {}                          # table id -> least representative
+    owner = np.array([first.setdefault(id(t), r) for r, t in tables.items()])
+    return _distinct_rows(
+        np.column_stack([owner[rep[i]], owner[rep[j]], fusion]))
+
+
+def _distinct_rows(rows):
+    """np.unique(rows, axis=0, return_inverse=True) of a 2-D int array."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    key_of = np.empty(len(rows), dtype=np.int64)
+    key_of[order] = np.cumsum(new) - 1
+    return rows[new], key_of
 
 
 def build_gamma_poset(G, p, e):
@@ -238,10 +249,10 @@ def build_gamma_poset(G, p, e):
     (i, j) with conjugates (r_H, g_i) and (r_K, g_j) has the matrix of R_H
     in R_K under the class fusion f: x -> g_j g_i^-1 x g_i g_j^-1, from
     R_H's class representatives into R_K's classes, with rows pi_i and
-    columns pi_j. That matrix is computed once per key (r_H, r_K, f)
-    (`_cover_keys`), and its nonzero entries give the edges of every cover
-    with that key. The edges are listed in the order of lattice.covers (by
-    upper node, then lower node), row-major within a cover.
+    columns pi_j. That matrix is computed once per key (table of R_H,
+    table of R_K, f) (`_cover_keys`), and its nonzero entries give the
+    edges of every cover with that key. The edges are listed in the order
+    of lattice.covers (by upper node, then lower node), row-major in each.
     """
     spos = s_poset(G, p, e)
     lat = spos.lattice

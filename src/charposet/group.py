@@ -153,7 +153,7 @@ class GroupTable:
         return acc
 
     def exponent(self):
-        return lcm(*(int(k) for k in self.elem_order))
+        return lcm(*set(self.elem_order.tolist()))
 
     def is_abelian(self):
         return bool((self.mul == self.mul.T).all())
@@ -302,8 +302,9 @@ def make_subgroups(G, rows):
     then one searchsorted over the rows, row i offset by i*|G|, gives the
     local indices, and a product missing from its row raises NotASubgroup.
     One scatter makes all membership masks.
-    Closure under products is the one check a finite group needs. The whole
-    group's table is G itself, which shares G's memo.
+    Closure under products is the one check a finite group needs. Rows with
+    byte-equal local `mul` share one GroupTable, and so one memo; `inv`,
+    `elem_order` and Irr follow from `mul`. The whole group's table is G.
     """
     rows = np.asarray(rows, dtype=np.int64)
     t, m = rows.shape
@@ -331,8 +332,11 @@ def make_subgroups(G, rows):
         for a in (mul, inv, orders):
             a.setflags(write=False)
         label = f"{G.label}|{{{m}}}"
-        locals_ = [GroupTable(m, mul[i], inv[i], orders[i], label=label)
-                   for i in range(t)]
+        first = {}                      # local mul bytes -> first such row
+        row_of = [first.setdefault(mul[i].tobytes(), i) for i in range(t)]
+        tables = {i: GroupTable(m, mul[i], inv[i], orders[i], label=label)
+                  for i in first.values()}
+        locals_ = [tables[i] for i in row_of]
     out = []
     for members, local, mask in zip(rows.tolist(), locals_, masks):
         members = tuple(members)

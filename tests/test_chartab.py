@@ -526,16 +526,30 @@ def test_relabelled_tables_equal_direct_builds(text, p):
     assert relabelled > 0
 
 
-def test_gamma_build_classifies_each_conjugacy_class_once(monkeypatch):
+def test_gamma_build_classifies_each_distinct_local_table_once(monkeypatch):
     # A(6) at p = 2 has five classes of 2-subgroups among 165 nodes: 45
-    # C(2), two classes of 15 C(2) x C(2), 45 C(4) and 45 D(4)
+    # C(2), two classes of 15 C(2) x C(2), 45 C(4) and 45 D(4); the two
+    # classes of C(2) x C(2) share one local table
     calls = []
     classes = chartab.conjugacy_classes
     monkeypatch.setattr(chartab, "conjugacy_classes",
                         lambda T: calls.append(T.order) or classes(T))
     gam = build_gamma_poset(realize("A(6)"), 2, 0)
     assert gam.s.lattice.node_count == 165
-    assert sorted(calls) == [2, 4, 4, 4, 8]
+    assert sorted(calls) == [2, 4, 4, 8]
+
+
+def test_e24_gamma_builds_one_table_per_distinct_local_table(monkeypatch):
+    # E(2,4) at p = 2 has 66 class representatives (every subgroup is its
+    # own class) but only four local tables, one per order 2, 4, 8, 16
+    calls = []
+    build = CharContext._build
+    monkeypatch.setattr(CharContext, "_build",
+                        lambda self, T, members: calls.append(T.order)
+                        or build(self, T, members))
+    gam = build_gamma_poset(realize("E(2,4)"), 2, 0)
+    assert gam.s.lattice.node_count == 66
+    assert sorted(calls) == [2, 4, 8, 16]
 
 
 def test_relabelling_by_a_wrong_element_is_typed():

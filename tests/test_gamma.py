@@ -8,6 +8,7 @@ import sys
 import weakref
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import charposet
@@ -350,6 +351,32 @@ def test_transported_gamma_matches_per_node_tables(text):
             assert gam.partition.component_of == old.partition.component_of
             assert gam.partition.component_sizes == \
                 old.partition.component_sizes
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_cover_keys_match_np_unique(monkeypatch, text):
+    # the lexsort dedupe of the cover keys against np.unique(axis=0)
+    seen = []
+    distinct = charposet.gamma._distinct_rows
+
+    def spy(rows):
+        keys, key_of = distinct(rows)
+        seen.append((rows, keys, key_of))
+        return keys, key_of
+
+    monkeypatch.setattr(charposet.gamma, "_distinct_rows", spy)
+    G = cached_group(text)
+    with_covers = 0
+    for p in (2, 3):
+        for e in (0, 1):
+            build_gamma_poset(G, p, e)
+            with_covers += bool(s_poset(G, p, e).lattice.covers)
+    assert len(seen) == with_covers
+    for rows, keys, key_of in seen:
+        want, want_of = np.unique(rows, axis=0, return_inverse=True)
+        assert keys.dtype == want.dtype
+        assert np.array_equal(keys, want)
+        assert np.array_equal(key_of, want_of.reshape(-1))
 
 
 def test_wrong_conjugating_element_is_typed():

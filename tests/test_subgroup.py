@@ -52,6 +52,26 @@ def test_node_and_normalizer_tables_match_oracle(text):
     _assert_table_matches_oracle(center(G))
 
 
+def test_e24_order_2_nodes_share_one_local_table():
+    nodes = [H for H in p_lattice(cached_group("E(2,4)"), 2).nodes
+             if H.order == 2]
+    assert len(nodes) == 15
+    assert len({id(H.local) for H in nodes}) == 1
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_nodes_share_a_local_table_exactly_when_their_mul_is_equal(text):
+    G = cached_group(text)
+    for p in (2, 3):
+        muls_of, tables_of = {}, {}
+        for H in p_lattice(G, p).nodes:
+            mul = H.local.mul.tobytes()
+            muls_of.setdefault(id(H.local), set()).add(mul)
+            tables_of.setdefault(mul, set()).add(id(H.local))
+        assert all(len(m) == 1 for m in muls_of.values()), p
+        assert all(len(t) == 1 for t in tables_of.values()), p
+
+
 @pytest.mark.parametrize("text", ["A(6)", "PSL(2,8)", "PSL(2,11)"])
 @pytest.mark.parametrize("p", [2, 3])
 def test_component_stabilizer_tables_match_oracle(text, p):

@@ -1,5 +1,6 @@
 """Shared test helpers: cached group realization and brute-force oracles."""
 import cmath
+import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from charposet.group import (
     is_p_power,
     make_subgroup,
     normalizer,
+    p_lattice,
     p_valuation,
     table_from_mul,
 )
@@ -319,11 +321,10 @@ def conjugated_table(G, tR, rmembers, g, T, members):
     return _validated_table(T, cls, tR.q, rows)
 
 
-def node_restriction_multiplicities(ctx, H, K):
-    """M[a, b] = [phi_a, (psi_b)|_H] over the node tables ctx.table(H) and
-    ctx.table(K), each built from the node's own group."""
-    q = ctx.q
-    tH, tK = ctx.table(H), ctx.table(K)
+def node_restriction_multiplicities(tH, tK, H, K):
+    """M[a, b] = [phi_a, (psi_b)|_H] over the node tables tH of H and tK of
+    K, each built from the node's own group."""
+    q = tH.q
     VH = tH.values_matrix()
     VK = tK.values_matrix()
     kcls = np.array(
@@ -344,20 +345,33 @@ class PerNodeGamma:
     partition: object
 
 
-def per_node_gamma(G, p, e):
-    """Gamma(p, e) from every node's own table, as ctx.table builds it from
-    the node's group, and one restriction product per cover: the oracle
-    for `gamma.build_gamma_poset`, which transports the representatives'."""
-    lat = s_poset(G, p, e).lattice
+def own_tables(G, p):
+    """Each node of S_{p,0}(G), by member tuple, to its own table: built by
+    `CharContext._build` from an unshared copy of the node's local table,
+    so that no two nodes share a table object. Cached on G."""
     ctx = char_context(G)
+    return G.memo(("own_tables", p), lambda: {
+        S.members: ctx._build(dataclasses.replace(S.local), S.members)
+        for S in p_lattice(G, p).nodes})
+
+
+def per_node_gamma(G, p, e):
+    """Gamma(p, e) from every node's own table (`own_tables`) and one
+    restriction product per cover: the oracle for
+    `gamma.build_gamma_poset`, which transports the representatives'
+    tables and shares each table among the nodes with equal local tables."""
+    lat = s_poset(G, p, e).lattice
+    own = own_tables(G, p)
     nodes = []
     offsets = []
     for i, sub in enumerate(lat.nodes):
         offsets.append(len(nodes))
-        nodes.extend(GammaNode(i, a) for a in range(ctx.table(sub).count))
+        nodes.extend(GammaNode(i, a) for a in range(own[sub.members].count))
     edges = []
     for i, j in lat.covers:
-        M = node_restriction_multiplicities(ctx, lat.nodes[i], lat.nodes[j])
+        H, K = lat.nodes[i], lat.nodes[j]
+        M = node_restriction_multiplicities(own[H.members], own[K.members],
+                                            H, K)
         for a, b in zip(*np.nonzero(M)):
             edges.append((offsets[i] + int(a), offsets[j] + int(b)))
     return PerNodeGamma(tuple(nodes), tuple(offsets), tuple(edges),
@@ -374,7 +388,8 @@ def full_comparability_partition(G, p, e):
     for i, H in enumerate(lat.nodes):
         for j, K in enumerate(lat.nodes):
             if H.order < K.order and H.member_set <= K.member_set:
-                M = node_restriction_multiplicities(ctx, H, K)
+                M = node_restriction_multiplicities(ctx.table(H),
+                                                    ctx.table(K), H, K)
                 edges.extend((int(offsets[i]) + int(a), int(offsets[j]) + int(b))
                              for a, b in zip(*np.nonzero(M)))
     return components(int(offsets[-1]), edges)
