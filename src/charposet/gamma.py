@@ -274,7 +274,7 @@ def build_gamma_poset(G, p, e):
             first = offsets[ids, None]
             slot[first + pi] = first + np.arange(pi.shape[1])
 
-    edges = ()
+    pairs = np.empty((0, 2), dtype=np.int64)
     if lat.covers:
         keys, key_of = _cover_keys(G, lat, tables, g)
         nonzero = []
@@ -294,10 +294,11 @@ def build_gamma_poset(G, p, e):
         src = slot[offsets[i] + a[entry]]
         tgt = slot[offsets[j] + b[entry]]
         order = np.lexsort((tgt, src, cover))
-        edges = tuple(zip(src[order].tolist(), tgt[order].tolist()))
+        pairs = np.column_stack((src[order], tgt[order]))
+    edges = tuple(zip(*pairs.T.tolist()))
     nodes = tuple(GammaNode(i, a) for i, n in enumerate(counts)
                   for a in range(n))
-    part = components(len(nodes), edges)
+    part = components(len(nodes), pairs)
     return GammaPoset(G, p, e, spos, ctx, nodes, tuple(offsets[:-1].tolist()),
                       edges, part)
 

@@ -457,36 +457,6 @@ def omega1(P, p):
     return sub
 
 
-def _extend_p_subgroup(G, mem, gens, p):
-    """Index-p overgroups of the p-subgroup H = <gens> with members `mem`.
-
-    Each is <H, x> = H u Hx u ... u Hx^(p-1) for a p-element x in N_G(H)
-    outside H with x^p in H, returned as (member tuple, x). An x inside an
-    overgroup already found only finds that overgroup again, so it is
-    skipped.
-    """
-    marr = np.array(mem, dtype=np.int32)
-    hmask = np.zeros(G.order, dtype=bool)
-    hmask[marr] = True
-    seen = hmask.copy()             # H and every overgroup found so far
-    out = []
-    for x in np.flatnonzero(_normalizer_mask(G, gens, hmask)):
-        x = int(x)
-        if seen[x] or not is_p_power(int(G.elem_order[x]), p):
-            continue
-        if not hmask[G.power(x, p)]:
-            continue
-        cosets = [marr]
-        for _ in range(p - 1):
-            cosets.append(G.mul[cosets[-1], x])
-        members = np.sort(np.concatenate(cosets))
-        if (members[1:] == members[:-1]).any():
-            raise LatticeConstructionFailed("coset union has wrong size")
-        seen[members] = True
-        out.append((tuple(int(v) for v in members), x))
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class PSubgroupLattice:
     """All p-subgroups of order > p^e, their index-p covers and G-classes.
@@ -516,12 +486,10 @@ class PSubgroupLattice:
         return tuple(tuple(sorted(b)) for b in below)
 
 
-def _right_transversal(G, mem, gens):
-    """The least element of each right coset of N_G(H), H = <gens> = mem."""
-    hmask = np.zeros(G.order, dtype=bool)
-    hmask[np.array(mem)] = True
-    covered = _normalizer_mask(G, gens, hmask)
-    narr = np.flatnonzero(covered)
+def _right_transversal(G, nmask):
+    """The least element of each right coset of N, given by its mask."""
+    covered = nmask.copy()
+    narr = np.flatnonzero(nmask)
     reps = [0]
     while not covered.all():
         reps.append(int(np.argmin(covered)))
@@ -537,6 +505,39 @@ def _conjugates(G, elems, T):
     return [tuple(r) for r in rows.tolist()]
 
 
+def _pth_powers(G, p):
+    """x^p for every element x of G: square-and-multiply, log2(p) gathers."""
+    acc, sq = np.zeros(G.order, dtype=np.int32), np.arange(G.order)
+    for bit in bin(p)[:1:-1]:           # the bits of p, least first
+        acc = G.mul[acc, sq] if bit == "1" else acc
+        sq = G.mul[sq, sq]
+    return acc
+
+
+def _index_p_overgroups(G, p, hmasks, nmasks, xp):
+    """The index-p overgroups of many p-subgroups H of one order, at once.
+
+    Row t of hmasks is the mask of H and row t of nmasks the mask of
+    N_G(H); xp[x] = x^p. Each overgroup is <H, x> = H u Hx u ... u
+    Hx^(p-1) for an x in N_G(H) outside H with x^p in H (x is then a
+    p-element, as x^p is). Every such x's coset union is one sorted row of
+    a (candidates, p|H|) array. Every element of K = <H, x> outside H is a
+    candidate, and two such K meet in H, so K is kept once, with its least
+    x: the x that is the least element of its cosets other than H.
+    Returns (t, member rows, x) per overgroup, ordered by t, then x.
+    """
+    reps = np.nonzero(hmasks)[1].reshape(len(hmasks), -1)
+    ri, xs = np.nonzero(nmasks & ~hmasks & hmasks[:, xp])
+    cosets = [reps[ri]]
+    for _ in range(p - 1):
+        cosets.append(G.mul[cosets[-1], xs[:, None]])
+    rows = np.sort(np.concatenate(cosets, axis=1), axis=1)
+    if (rows[:, 1:] == rows[:, :-1]).any():
+        raise LatticeConstructionFailed("coset union has wrong size")
+    keep = xs == np.concatenate(cosets[1:], axis=1).min(axis=1)
+    return ri[keep], rows[keep], xs[keep]
+
+
 def _build_p_lattice(G, p):
     """S_{p,0}(G) by levels of order p, p^2, ..., one conjugacy class at a time.
 
@@ -545,9 +546,11 @@ def _build_p_lattice(G, p):
     transversal of N_G(H)}, and only H is extended. Every index-p inclusion
     H < K is one extension step of H (any x in K outside H lies in N_G(H)
     and has x^p in H), and the covers of H^t are the H^t < K^t, so each
-    cover is recorded once. Each node keeps generators: one element of order
-    p, one more per step, conjugated along with the node. The Subgroups of
-    one level are made together, by one make_subgroups call.
+    cover is recorded once. A level's representatives are collected first
+    and extended in one batch (`_index_p_overgroups`). Each node keeps
+    generators: one element of order p, one more per step, conjugated along
+    with the node. The Subgroups of one level are made together, by one
+    make_subgroups call.
     """
     xs = np.flatnonzero(G.elem_order == p)
     powers = [np.zeros_like(xs), xs]         # x^0, ..., x^(p-1) as columns
@@ -557,23 +560,33 @@ def _build_p_lattice(G, p):
     cyclic = np.sort(np.stack(powers, axis=1), axis=1).tolist()
     gens = {tuple(c): (x,) for c, x in zip(cyclic, xs.tolist())}
     level = sorted(gens)
+    xp = _pth_powers(G, p)
     levels = []
     classes = {}                     # member tuple -> (representative, g)
     steps = []                       # (H, K) member tuples, |K : H| = p
     while level:
         levels.append(level)
-        above = set()
+        hmasks, nmasks, reps = [], [], []   # per class representative
         for mem in level:
             if mem in classes:
                 continue
-            T = _right_transversal(G, mem, gens[mem])
+            hmask = np.zeros(G.order, dtype=bool)
+            hmask[list(mem)] = True
+            nmask = _normalizer_mask(G, gens[mem], hmask)
+            T = _right_transversal(G, nmask)
             conj = _conjugates(G, mem, T)
             classes.update(zip(conj, ((mem, g) for g in T.tolist())))
-            for over, x in _extend_p_subgroup(G, mem, gens[mem], p):
-                found = _conjugates(G, over, T)
-                steps.extend(zip(conj, found))
-                above.update(found)
-                gens.update(zip(found, _conjugates(G, gens[mem] + (x,), T)))
+            hmasks.append(hmask)
+            nmasks.append(nmask)
+            reps.append((mem, T, conj))
+        above = set()
+        for r, over, x in zip(*(a.tolist() for a in _index_p_overgroups(
+                G, p, np.array(hmasks), np.array(nmasks), xp))):
+            mem, T, conj = reps[r]
+            found = _conjugates(G, tuple(over), T)
+            steps.extend(zip(conj, found))
+            above.update(found)
+            gens.update(zip(found, _conjugates(G, gens[mem] + (x,), T)))
         level = sorted(above)
     members = [mem for level in levels for mem in level]
     node_index = {mem: i for i, mem in enumerate(members)}
@@ -630,7 +643,10 @@ def _intersection(subgroups):
 
 
 def frattini_of_p_group(P, p):
-    """Phi(P) for a p-group P, computed two independent ways and compared."""
+    """Phi(P) for a p-group P, computed two independent ways and compared.
+
+    A nontrivial Phi(P) is the node of G's p-lattice, with its tables.
+    """
     G = P.parent
     if not is_p_power(P.order, p) or P.order < p:
         raise NotAPGroup(f"|P| = {P.order} is not a power of {p} with |P| >= {p}")
@@ -646,15 +662,18 @@ def frattini_of_p_group(P, p):
     # (a) intersection of the index-p subgroups of P: its lower covers in G's
     # p-subgroup lattice
     if P.order == p:
-        by_maximals = (0,)
+        by_maximals, node_index = (0,), {}
     else:
         lat = enumerate_p_subgroups(G, p)
-        j = lat.node_index.get(P.members)
+        node_index = lat.node_index
+        j = node_index.get(P.members)
         if j is None:
             raise LatticeConstructionFailed("P is not a node of G's lattice")
         by_maximals = _intersection([lat.nodes[i] for i in lat.lower[j]])
     if by_powers != by_maximals:
         raise LatticeConstructionFailed("Frattini computations disagree")
+    if by_powers in node_index:
+        return lat.nodes[node_index[by_powers]]
     return make_subgroup(G, by_powers)
 
 

@@ -1,8 +1,9 @@
 """Connected components of node/edge structures and group actions on them.
 
-Components are computed with union-find and reported as a canonical
-Partition: each node is labeled by the smallest node index in its component,
-and component ids are assigned in ascending order of those representatives.
+Components are computed by hooking and pointer jumping over numpy arrays and
+reported as a canonical Partition: each node is labeled by the smallest node
+index in its component, and component ids are assigned in ascending order of
+those representatives.
 """
 from __future__ import annotations
 
@@ -34,40 +35,35 @@ class Partition:
         return tuple(c[0] for c in self.components)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller index as representative for canonical labels
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def components(node_count, edges):
-    """Partition of range(node_count) under the given undirected edges."""
-    uf = _UnionFind(node_count)
-    for a, b in edges:
-        uf.union(a, b)
-    roots = sorted({uf.find(i) for i in range(node_count)})
-    comp_id = {r: k for k, r in enumerate(roots)}
-    component_of = tuple(comp_id[uf.find(i)] for i in range(node_count))
-    comps = [[] for _ in roots]
-    for i, c in enumerate(component_of):
-        comps[c].append(i)
-    return Partition(node_count, component_of,
-                     tuple(tuple(c) for c in comps))
+    """Partition of range(node_count) under the given undirected edges.
+
+    edges is a sequence of pairs or an (m, 2) int array. Each node points
+    at a lesser node of its component, or at itself as a root. A round
+    jumps every pointer to its root, then hooks the greater root of every
+    edge that joins two trees onto the least root it is joined to. Each
+    round merges trees, and the last leaves one tree per component, rooted
+    at its least node.
+    """
+    a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    parent = np.arange(node_count)
+    while True:
+        jump = parent[parent]
+        while (jump != parent).any():
+            parent, jump = jump, jump[jump]
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        if not cross.any():
+            break
+        lo, hi = np.minimum(ra, rb)[cross], np.maximum(ra, rb)[cross]
+        np.minimum.at(parent, hi, lo)
+    roots = parent == np.arange(node_count)
+    component_of = (np.cumsum(roots) - 1)[parent]
+    order = np.argsort(component_of, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(component_of))
+    return Partition(node_count, tuple(component_of.tolist()), tuple(
+        tuple(order[s:t]) for s, t in zip([0, *ends[:-1].tolist()],
+                                          ends.tolist())))
 
 
 def action_on_components(partition, node_image, base_node=0):

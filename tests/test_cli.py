@@ -8,6 +8,7 @@ import re
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -137,8 +138,9 @@ def test_table_construction_failure_exit_three(monkeypatch, capsys, expr,
 
 def test_lattice_construction_failure_exit_three(monkeypatch, capsys):
     # no extension step finds anything: the lattice stops at order p
-    monkeypatch.setattr(charposet.group, "_extend_p_subgroup",
-                        lambda G, mem, gens, p: [])
+    monkeypatch.setattr(charposet.group, "_index_p_overgroups",
+                        lambda G, p, hmasks, nmasks, xp:
+                        (np.zeros(0, dtype=np.int64),) * 3)
     code, text = _run(["components", "--p", "2", "--poset", "s", "C(4)"])
     assert code == 3 and text == ""
     err = capsys.readouterr().err

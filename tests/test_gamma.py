@@ -422,6 +422,7 @@ def test_verify_does_not_import_numpy_ma():
             "from charposet.gamma import verify\n"
             "assert verify(realize('A(6)'), 2, 0, 'ThmA').status == 'pass'\n"
             "assert verify(realize('S(4)'), 2, 0, 'ThmB').status == 'pass'\n"
+            "assert verify(realize('E(2,4)'), 2, 0, 'ThmA').status == 'pass'\n"
             "print('numpy.ma' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(charposet.__file__))
     env = {**os.environ, "PYTHONPATH": src}

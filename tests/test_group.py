@@ -21,8 +21,7 @@ from charposet.errors import (
 )
 from charposet.gamma import s_poset
 from charposet.group import (
-    GroupTable,
-    _extend_p_subgroup,
+    _index_p_overgroups,
     all_subgroups,
     center,
     closure_members,
@@ -46,6 +45,7 @@ from charposet.group import (
 )
 from util import (
     DIFFERENTIAL_GROUPS,
+    batched_overgroups,
     brute_force_subgroups,
     cached_group,
     catalog_up_to,
@@ -58,6 +58,7 @@ from util import (
     intersection_of_level,
     iterated_elem_orders,
     levelled_p_subgroups,
+    looped_overgroups,
     scanned_inverses,
     scanned_p_lattice,
     validate_group_table,
@@ -346,8 +347,7 @@ def test_extension_step_finds_each_overgroup_once():
     G = cached_group("S(4)")
     lat = enumerate_p_subgroups(G, 2)
     for i, H in enumerate(lat.nodes):
-        found = [m for m, _ in
-                 group_module._extend_p_subgroup(G, H.members, H.members, 2)]
+        found = [m for m, _ in batched_overgroups(G, 2, [H])[0]]
         assert len(found) == len(set(found))
         assert sorted(lat.node_index[m] for m in found) == \
             [j for a, j in lat.covers if a == i]
@@ -376,14 +376,40 @@ def test_lattice_classes_match_conjugation_oracle(text):
     ("A(6)", 2, 5), ("S(6)", 2, 18), ("E(2,4)", 2, 66)])
 def test_one_extension_step_per_conjugacy_class(monkeypatch, text, p, calls):
     seen = []
-    extend = group_module._extend_p_subgroup
-    monkeypatch.setattr(group_module, "_extend_p_subgroup",
-                        lambda G, mem, gens, p: seen.append(mem)
-                        or extend(G, mem, gens, p))
+    extend = group_module._index_p_overgroups
+    monkeypatch.setattr(group_module, "_index_p_overgroups",
+                        lambda G, p, hmasks, nmasks, xp:
+                        seen.extend(tuple(np.flatnonzero(m).tolist())
+                                    for m in hmasks)
+                        or extend(G, p, hmasks, nmasks, xp))
     lat = group_module._build_p_lattice(realize(text), p)
     assert len(seen) == calls
     assert sorted(lat.node_index[m] for m in seen) == \
         sorted({r for r, _ in lat.conjugates})
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_batched_extension_matches_element_loop(text):
+    # every node, normal in G or not, a whole level per batch: the same
+    # overgroups, each with its least x, in the same order as the loop
+    G = cached_group(text)
+    for p in (2, 3):
+        lat = enumerate_p_subgroups(G, p)
+        for order in sorted({H.order for H in lat.nodes}):
+            level = [H for H in lat.nodes if H.order == order]
+            assert batched_overgroups(G, p, level) == [
+                looped_overgroups(G, H.members, H.members, p)
+                for H in level], (p, order)
+
+
+@pytest.mark.parametrize("text", ["D(4)", "Q(8)", "X(3,+)", "X(3,-)"])
+def test_frattini_is_the_lattice_node(text):
+    # L4.3 reads Phi(G)'s table; the lattice node carries the cached one
+    G = realize(text)
+    p = prime_power(G.order)[0]
+    phi = frattini_of_p_group(whole_group_subgroup(G), p)
+    lat = enumerate_p_subgroups(G, p)
+    assert phi is lat.nodes[lat.node_index[phi.members]]
 
 
 def test_common_intersection_of_order():
@@ -527,18 +553,20 @@ def test_table_from_mul_rejects_an_element_of_no_finite_order():
         table_from_mul([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
 
 
-def test_coset_union_of_wrong_size_is_typed(monkeypatch):
+def test_coset_union_of_wrong_size_is_typed():
     # pretend the involution of C(2) is a 3-element with trivial cube
-    monkeypatch.setattr(group_module, "is_p_power", lambda n, p: True)
-    monkeypatch.setattr(GroupTable, "power", lambda self, x, k: 0)
     with pytest.raises(LatticeConstructionFailed, match="coset union"):
-        _extend_p_subgroup(cached_group("C(2)"), (0,), (), 3)
+        _index_p_overgroups(cached_group("C(2)"), 3,
+                            np.array([[True, False]]),
+                            np.ones((1, 2), dtype=bool),
+                            np.zeros(2, dtype=np.int32))
 
 
 def test_missed_sylow_level_is_typed(monkeypatch):
     # no extension step finds anything: the lattice stops at order p
-    monkeypatch.setattr(group_module, "_extend_p_subgroup",
-                        lambda G, mem, gens, p: [])
+    monkeypatch.setattr(group_module, "_index_p_overgroups",
+                        lambda G, p, hmasks, nmasks, xp:
+                        (np.zeros(0, dtype=np.int64),) * 3)
     with pytest.raises(LatticeConstructionFailed, match="Sylow level"):
         enumerate_p_subgroups(realize("C(4)"), 2)
 

@@ -1,4 +1,4 @@
-"""Union-find components and group actions on them."""
+"""Connected components and group actions on them."""
 import io
 
 import networkx as nx
@@ -11,7 +11,7 @@ import charposet.gamma
 from charposet.catalog import realize
 from charposet.cli import run
 from charposet.errors import ActionNotCompatible
-from charposet.gamma import s_component_action, s_poset
+from charposet.gamma import gamma_poset, s_component_action, s_poset
 from charposet.poset import action_on_components, components
 from util import (
     DIFFERENTIAL_GROUPS,
@@ -55,6 +55,31 @@ def test_components_against_networkx(n, data):
     for comp in oracle:
         ids = {part.component_of[v] for v in comp}
         assert len(ids) == 1
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_s_and_gamma_partitions_match_networkx(text):
+    # the numpy components of every S and Gamma against networkx, in the
+    # canonical numbering: components ordered by their least node
+    G = cached_group(text)
+    for p in (2, 3):
+        for e in (0, 1):
+            gam = gamma_poset(G, p, e)
+            lat = gam.s.lattice
+            for n, edges, part in (
+                    (lat.node_count, lat.covers, gam.s.partition),
+                    (gam.node_count, gam.edges, gam.partition)):
+                g = nx.Graph()
+                g.add_nodes_from(range(n))
+                g.add_edges_from(edges)
+                want = sorted(tuple(sorted(c))
+                              for c in nx.connected_components(g))
+                of = [0] * n
+                for k, comp in enumerate(want):
+                    for v in comp:
+                        of[v] = k
+                assert part.components == tuple(want), (p, e)
+                assert part.component_of == tuple(of), (p, e)
 
 
 def test_action_p_group_is_trivial():

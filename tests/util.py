@@ -14,6 +14,7 @@ from charposet.errors import (
     CharposetError,
     ClosureCapExceeded,
     ContextMismatch,
+    LatticeConstructionFailed,
     NotASubgroup,
     PreconditionViolated,
     TableConstructionFailed,
@@ -30,6 +31,9 @@ from charposet.group import (
     GroupTable,
     PSubgroupLattice,
     Subgroup,
+    _index_p_overgroups,
+    _normalizer_mask,
+    _pth_powers,
     all_subgroups,
     closure_members,
     is_p_power,
@@ -553,6 +557,51 @@ def _extensions_by_subgroup_tables(G, mem, p):
             members.update(int(v) for v in cur)
         assert len(members) == p * len(mem)
         out.add(tuple(sorted(members)))
+    return out
+
+
+def looped_overgroups(G, mem, gens, p):
+    """Index-p overgroups of the p-subgroup H = <gens> with members `mem`,
+    by a loop over the elements of N_G(H): the oracle of the batched
+    `_index_p_overgroups`.
+
+    Each is <H, x> = H u Hx u ... u Hx^(p-1) for a p-element x in N_G(H)
+    outside H with x^p in H, returned as (member tuple, x). An x inside an
+    overgroup already found only finds that overgroup again, so it is
+    skipped.
+    """
+    marr = np.array(mem, dtype=np.int32)
+    hmask = np.zeros(G.order, dtype=bool)
+    hmask[marr] = True
+    seen = hmask.copy()             # H and every overgroup found so far
+    out = []
+    for x in np.flatnonzero(_normalizer_mask(G, gens, hmask)):
+        x = int(x)
+        if seen[x] or not is_p_power(int(G.elem_order[x]), p):
+            continue
+        if not hmask[G.power(x, p)]:
+            continue
+        cosets = [marr]
+        for _ in range(p - 1):
+            cosets.append(G.mul[cosets[-1], x])
+        members = np.sort(np.concatenate(cosets))
+        if (members[1:] == members[:-1]).any():
+            raise LatticeConstructionFailed("coset union has wrong size")
+        seen[members] = True
+        out.append((tuple(int(v) for v in members), x))
+    return out
+
+
+def batched_overgroups(G, p, nodes):
+    """[(member tuple, x), ...] per node from one `_index_p_overgroups`
+    batch over the given nodes, all of one order.
+    """
+    hmasks = np.array([H.mask for H in nodes])
+    nmasks = np.array([_normalizer_mask(G, H.members, H.mask) for H in nodes])
+    out = [[] for _ in nodes]
+    for t, over, x in zip(*(a.tolist() for a in _index_p_overgroups(
+            G, p, hmasks, nmasks, _pth_powers(G, p)))):
+        out[t].append((tuple(over), x))
     return out
 
 
