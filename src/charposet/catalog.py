@@ -39,43 +39,19 @@ def parse_cycles(text, degree, offset=0):
     """Parse "(1 2 3)(4 5)" into a 0-based image tuple on `degree` points.
 
     Points are 1-based and whitespace-separated; cycles must be disjoint;
-    fixed points are omitted. "()" is the identity.
+    fixed points are omitted. "()" is the identity. Error offsets are
+    counted from `offset`.
     """
+    parser = _Parser(text, offset)
+    return _cyc(degree, *parser.parse(parser.parse_cycles, degree))
+
+
+def _cyc(degree, *cycles):
+    """The image tuple on `degree` points of disjoint 0-based cycles."""
     img = list(range(degree))
-    seen = set()
-    pos = 0
-    found_any = False
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        if text[pos] != "(":
-            raise GroupSyntaxError("expected '('", offset + pos, {"("})
-        end = text.find(")", pos)
-        if end < 0:
-            raise GroupSyntaxError("unclosed cycle", offset + pos, {")"})
-        body = text[pos + 1:end].split()
-        points = []
-        for tok in body:
-            if not tok.isdigit():
-                raise GroupSyntaxError(f"bad point {tok!r}", offset + pos,
-                                       {"digit"})
-            pt = int(tok)
-            if not 1 <= pt <= degree:
-                raise ParameterOutOfRange(
-                    f"point {pt} outside 1..{degree}", offset + pos)
-            if pt in seen:
-                raise GroupSyntaxError(
-                    f"point {pt} repeated; cycles must be disjoint",
-                    offset + pos)
-            seen.add(pt)
-            points.append(pt - 1)
-        for i, pt in enumerate(points):
-            img[pt] = points[(i + 1) % len(points)]
-        found_any = True
-        pos = end + 1
-    if not found_any:
-        raise GroupSyntaxError("expected at least one cycle", offset, {"("})
+    for c in cycles:
+        for i, pt in enumerate(c):
+            img[pt] = c[(i + 1) % len(c)]
     return tuple(img)
 
 
@@ -113,7 +89,7 @@ class Named:
 @dataclass(frozen=True)
 class Perm:
     degree: int
-    gens: tuple     # image tuples
+    gens: tuple     # image tuples on the points 1..m that any of them moves
 
     def __str__(self):
         body = ", ".join(cycles_string(g) for g in self.gens)
@@ -128,10 +104,9 @@ class SemidirectByPerms:
     complement_gens: tuple
 
     def __str__(self):
-        g = ", ".join(cycles_string(x) for x in self.gens)
-        h = ", ".join(cycles_string(x) for x in self.normal_gens)
-        k = ", ".join(cycles_string(x) for x in self.complement_gens)
-        return f"sd[{self.degree}: {g}; {h}; {k}]"
+        lists = (self.gens, self.normal_gens, self.complement_gens)
+        body = "; ".join(", ".join(map(cycles_string, g)) for g in lists)
+        return f"sd[{self.degree}: {body}]"
 
 
 @dataclass(frozen=True)
@@ -157,7 +132,8 @@ _SIGNATURES = {"C": "n", "E": "nn", "D": "n", "Q": "n", "SD": "n", "M": "nn",
 _CTORS = set(_SIGNATURES)
 
 
-def _tokenize(text):
+def _tokenize(text, offset=0):
+    """(kind, value, offset) of each token of text, then an end token."""
     out = []
     pos = 0
     while pos < len(text):
@@ -165,28 +141,26 @@ def _tokenize(text):
         if m is None or m.end() == pos:
             if text[pos:].strip() == "":
                 break
-            raise GroupSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("num"):
+            raise GroupSyntaxError(f"unexpected character {text[pos]!r}",
+                                   offset + pos)
+        kind = m.lastgroup
+        value, at = m.group(kind), offset + m.start(kind)
+        if kind == "num":
             try:
-                value = int(m.group("num"))
+                value = int(value)
             except ValueError:      # over the interpreter's digit limit
                 raise ParameterOutOfRange(
-                    f"number literal of {len(m.group('num'))} digits is "
-                    "out of range", m.start("num")) from None
-            out.append(("num", value, m.start("num")))
-        elif m.group("name"):
-            out.append(("name", m.group("name"), m.start("name")))
-        else:
-            out.append(("sym", m.group("sym"), m.start("sym")))
+                    f"number literal of {len(value)} digits is out of range",
+                    at) from None
+        out.append((kind, value, at))
         pos = m.end()
-    out.append(("end", None, len(text)))
+    out.append(("end", None, offset + len(text)))
     return out
 
 
 class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.toks = _tokenize(text)
+    def __init__(self, text, offset=0):
+        self.toks = _tokenize(text, offset)
         self.i = 0
 
     def peek(self):
@@ -202,12 +176,13 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse(self):
-        expr = self.parse_expr()
+    def parse(self, rule, *args):
+        """rule(*args), which must consume every token."""
+        out = rule(*args)
         tok = self.peek()
         if tok[0] != "end":
             raise GroupSyntaxError(f"trailing input {tok[1]!r}", tok[2], {"end"})
-        return expr
+        return out
 
     def parse_expr(self):
         factors = [self.parse_term()]
@@ -223,10 +198,8 @@ class _Parser:
         if kind != "name":
             raise GroupSyntaxError(f"expected a constructor, found {name!r}",
                                    off, _CTORS | {"perm", "sd"})
-        if name == "perm":
+        if name in ("perm", "sd"):
             return self.parse_perm()
-        if name == "sd":
-            return self.parse_sd()
         if name not in _CTORS:
             raise UnknownConstructor(f"unknown constructor {name!r}", off,
                                      _CTORS | {"perm", "sd"})
@@ -259,61 +232,68 @@ class _Parser:
             raise ParameterOutOfRange(bad[1], offsets[bad[0]])
         return Named(name, tuple(args))
 
-    def _raw_until(self, stops):
-        """Consume raw text until one of the stop symbols at this nest level."""
-        start = self.toks[self.i][2]
-        depth = 0
+    def parse_cycles(self, degree):
+        """One permutation "(1 2 3)(4 5)" as its disjoint cycles of two or
+        more points, each a tuple of 0-based points in 0..degree-1."""
+        cycles, seen = [], set()
         while True:
-            kind, val, off = self.toks[self.i]
-            if kind == "end":
-                raise GroupSyntaxError("unterminated bracket body", off,
-                                       set(stops))
-            if kind == "sym" and val == "(":
-                depth += 1
-            elif kind == "sym" and val == ")":
-                depth -= 1
-            elif kind == "sym" and val in stops and depth == 0:
-                return self.text[start:off], start
-            self.i += 1
+            self.take("sym", "(")
+            cycle = []
+            while self.peek()[0] == "num":
+                _, pt, off = self.take()
+                if not 1 <= pt <= degree:
+                    raise ParameterOutOfRange(
+                        f"point {pt} outside 1..{degree}", off)
+                if pt in seen:
+                    raise GroupSyntaxError(
+                        f"point {pt} repeated; cycles must be disjoint", off)
+                seen.add(pt)
+                cycle.append(pt - 1)
+            self.take("sym", ")")
+            if len(cycle) > 1:
+                cycles.append(tuple(cycle))
+            if self.peek()[:2] != ("sym", "("):
+                return cycles
 
-    def _parse_perm_list(self, raw, degree, offset):
-        perms = []
-        for piece, poff in _split_commas(raw, offset):
-            perms.append(parse_cycles(piece, degree, poff))
+    def _perm_list(self, degree):
+        """Comma-separated permutations; empty pieces between commas are
+        skipped, but the list holds at least one permutation."""
+        perms, off = [], self.peek()[2]
+        while True:
+            if self.peek()[:2] == ("sym", "("):
+                perms.append(self.parse_cycles(degree))
+            if self.peek()[:2] != ("sym", ","):
+                break
+            self.take()
         if not perms:
-            raise GroupSyntaxError("expected permutations", offset, {"("})
-        return tuple(perms)
+            raise GroupSyntaxError("expected permutations", off, {"("})
+        return perms
 
     def parse_perm(self):
-        self.take("name", "perm")
-        self.take("sym", "[")
-        degree, doff = self._num()
-        if degree < 1:
-            raise ParameterOutOfRange("degree must be positive", doff)
-        self.take("sym", ":")
-        raw, off = self._raw_until("]")
-        self.take("sym", "]")
-        return Perm(degree, self._parse_perm_list(raw, degree, off))
+        """perm[n: list] or sd[n: list; list; list].
 
-    def parse_sd(self):
-        self.take("name", "sd")
+        Each generator keeps its images on the points 1..m only, m the
+        largest point any generator moves (at least 1): every later point
+        is fixed, so a large degree n costs nothing, the closure on m points
+        numbers the group as it would on n, and the AST does not depend on
+        how fixed points are written.
+        """
+        _, name, _ = self.take("name")
         self.take("sym", "[")
         degree, doff = self._num()
         if degree < 1:
             raise ParameterOutOfRange("degree must be positive", doff)
         self.take("sym", ":")
-        raw_g, off_g = self._raw_until(";")
-        self.take("sym", ";")
-        raw_h, off_h = self._raw_until(";")
-        self.take("sym", ";")
-        raw_k, off_k = self._raw_until("]")
+        lists = [self._perm_list(degree)]
+        while name == "sd" and len(lists) < 3:
+            self.take("sym", ";")
+            lists.append(self._perm_list(degree))
         self.take("sym", "]")
-        return SemidirectByPerms(
-            degree,
-            self._parse_perm_list(raw_g, degree, off_g),
-            self._parse_perm_list(raw_h, degree, off_h),
-            self._parse_perm_list(raw_k, degree, off_k),
-        )
+        m = 1 + max((pt for perms in lists for perm in perms
+                     for cycle in perm for pt in cycle), default=0)
+        gens = [tuple(_cyc(m, *perm) for perm in perms) for perms in lists]
+        node = Perm if name == "perm" else SemidirectByPerms
+        return node(degree, *gens)
 
 
 def _out_of_range(name, args):
@@ -366,37 +346,13 @@ def _out_of_range(name, args):
     return None
 
 
-def _split_commas(raw, offset):
-    """Split on top-level commas, keeping byte offsets of the pieces."""
-    pieces = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(raw):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            pieces.append((raw[start:i], offset + start))
-            start = i + 1
-    pieces.append((raw[start:], offset + start))
-    return [(p, o) for p, o in pieces if p.strip()]
-
-
 def parse_group_expr(text):
     """Parse a group expression into its AST."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    return parser.parse(parser.parse_expr)
 
 
 # --- realization ----------------------------------------------------------
-
-def _cyc(degree, *cycles):
-    img = list(range(degree))
-    for c in cycles:
-        for i, pt in enumerate(c):
-            img[pt] = c[(i + 1) % len(c)]
-    return tuple(img)
-
 
 def _regular_perms(size, mult, gens):
     """Right-regular permutations of chosen generators of an abstract group."""
@@ -489,14 +445,13 @@ def realize_group(expr):
     """Realize a group expression as a GroupTable and check its contract."""
     label = str(expr)
     if isinstance(expr, Perm):
-        return group_from_generators(expr.degree, expr.gens, label=label)
+        return group_from_generators(len(expr.gens[0]), expr.gens,
+                                     label=label)
 
     if isinstance(expr, SemidirectByPerms):
-        all_gens = []
-        for g in expr.gens + expr.normal_gens + expr.complement_gens:
-            if g not in all_gens:
-                all_gens.append(g)
-        table, index = closure_of_permutations(expr.degree, all_gens,
+        all_gens = list(dict.fromkeys(
+            expr.gens + expr.normal_gens + expr.complement_gens))
+        table, index = closure_of_permutations(len(all_gens[0]), all_gens,
                                                label=label)
         h_members = closure_members(table, [index[g] for g in expr.normal_gens])
         k_members = closure_members(table,

@@ -360,26 +360,29 @@ def irr_table(G, q):
     return _validated_table(G, cls, q, rows)
 
 
+def class_products(table, A, B):
+    """[A_i, B_j] = sum_c |c| A_i(c) B_j(c^-1) / |G| mod q, in [0, q), for
+    all rows A_i of A and B_j of B, class functions of table's group."""
+    q = table.q
+    cls = table.classes
+    A = np.asarray(A, dtype=np.int64) % q
+    B = np.asarray(B, dtype=np.int64) % q
+    W = A * (cls.sizes % q) % q
+    return W @ B[:, cls.inverse_class].T % q * inv_mod(table.group.order, q) % q
+
+
 def inner_product(table, a, b):
     """[a, b] for class functions mod q, lifted to its integer value in [0, q)."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    cls = table.classes
-    if a.shape != (cls.count,) or b.shape != (cls.count,):
+    if np.shape(a) != (table.classes.count,) or np.shape(b) != np.shape(a):
         raise ContextMismatch("class functions do not match the table's classes")
-    q = table.q
-    tot = int((cls.sizes % q * (a % q) % q * (b[cls.inverse_class] % q) % q).sum() % q)
-    return tot * inv_mod(table.group.order, q) % q
+    return int(class_products(table, [a], [b])[0, 0])
 
 
 def check_row_orthogonality(table):
     """[chi_i, chi_k] = delta_ik for all rows, as one product mod q."""
-    q = table.q
-    cls = table.classes
-    V = table.values_matrix() % q
-    W = V * (cls.sizes % q) % q
-    gram = W @ V[:, cls.inverse_class].T % q * inv_mod(table.group.order, q) % q
-    return np.array_equal(gram, np.eye(table.count, dtype=np.int64))
+    V = table.values_matrix()
+    return np.array_equal(class_products(table, V, V),
+                          np.eye(table.count, dtype=np.int64))
 
 
 class CharContext:
@@ -455,20 +458,16 @@ def restrict_values(ctx, K, psi, H):
         raise NotASubgroup("H is not contained in K")
     tK = ctx.table(K)
     tH = ctx.table(H)
-    psi_vals = np.asarray(psi.values, dtype=np.int64)
-    out = np.zeros(tH.classes.count, dtype=np.int64)
-    for j, rep_local in enumerate(tH.classes.reps):
-        parent = H.members[rep_local]
-        k_cls = int(tK.classes.class_of[K.index_of[parent]])
-        out[j] = psi_vals[k_cls]
-    return out
+    reps = np.array(H.members)[list(tH.classes.reps)]
+    fusion = tK.classes.class_of[np.searchsorted(K.members, reps)]
+    return np.asarray(psi.values, dtype=np.int64)[fusion]
 
 
 def decompose_restriction(ctx, K, psi, H):
     """Multiplicity vector of psi|_H over Irr(H)."""
     tH = ctx.table(H)
     vals = restrict_values(ctx, K, psi, H)
-    mults = tuple(inner_product(tH, vals, phi.values) for phi in tH.chars)
+    mults = tuple(class_products(tH, [vals], tH.values_matrix())[0].tolist())
     if sum(m * phi.degree for m, phi in zip(mults, tH.chars)) != psi.degree:
         raise TableConstructionFailed("restriction degrees do not add up")
     return mults
@@ -507,8 +506,8 @@ def induce(ctx, H, theta):
     degree = (G.order // H.order) * theta.degree
     if values[0] != degree % q:
         raise TableConstructionFailed("induced degree mismatch")
-    decomposition = tuple(inner_product(tG, values, chi.values)
-                          for chi in tG.chars)
+    decomposition = tuple(
+        class_products(tG, [values], tG.values_matrix())[0].tolist())
     if sum(m * chi.degree for m, chi in zip(decomposition, tG.chars)) != degree:
         raise TableConstructionFailed(
             "induction decomposition degrees do not add up")

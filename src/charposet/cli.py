@@ -12,7 +12,7 @@ import io
 import json
 import sys
 
-from .catalog import catalog_roster, parse_group_expr, realize_group
+from .catalog import catalog_roster, realize
 from .errors import (
     CharposetError,
     ClosureCapExceeded,
@@ -89,10 +89,6 @@ def _build_parser():
     return top
 
 
-def _realize(text):
-    return realize_group(parse_group_expr(text))
-
-
 def _check_usage(args):
     """Reject environment and argument values that no command can use."""
     order_cap()                  # raises ValueError on a bad CHARPOSET_ORDER_CAP
@@ -119,7 +115,7 @@ def _table(rows, header):
 
 
 def _cmd_irr(args, out):
-    G = _realize(args.expr)
+    G = realize(args.expr)
     ctx = char_context(G)
     t = ctx.table()
     print(f"group: {G.label}  order: {G.order}  exponent: {G.exponent()}  "
@@ -140,7 +136,7 @@ def _cmd_irr(args, out):
 
 
 def _cmd_psubgroups(args, out):
-    G = _realize(args.expr)
+    G = realize(args.expr)
     spos = s_poset(G, args.p, args.e)
     lat = spos.lattice
     print(f"group: {G.label}  p: {args.p}  e: {args.e}", file=out)
@@ -154,7 +150,7 @@ def _cmd_psubgroups(args, out):
 
 
 def _cmd_components(args, out):
-    G = _realize(args.expr)
+    G = realize(args.expr)
     if args.poset == "s":
         spos = s_poset(G, args.p, args.e)
         part = spos.lattice.node_count, len(spos.lattice.covers), \
@@ -173,7 +169,7 @@ def _cmd_components(args, out):
 
 
 def _cmd_verify(args, out):
-    G = _realize(args.expr)
+    G = realize(args.expr)
     report = verify(G, args.p, args.e, _THEOREM_FLAGS[args.theorem])
     if args.json:
         print(report.to_json(), file=out)
@@ -196,7 +192,7 @@ def _catalog_groups(texts, max_order):
     """
     for text in texts:
         try:
-            G = _realize(text)
+            G = realize(text)
         except (ParameterOutOfRange, ClosureCapExceeded):
             if max_order is not None and max_order <= order_cap():
                 continue

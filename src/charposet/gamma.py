@@ -19,6 +19,7 @@ import numpy as np
 
 from .chartab import (
     CharContext,
+    class_products,
     decompose_restriction,
     induce,
 )
@@ -48,7 +49,6 @@ from .group import (
     validate_semidirect,
     whole_group_subgroup,
 )
-from .modlinalg import inv_mod
 from .poset import Partition, action_on_components, components
 
 
@@ -168,11 +168,8 @@ def restriction_multiplicities(tH, tK, fusion):
     fusion[c] is the class of K that holds H's class c, so psi|_H has the
     values psi[fusion] over H's classes.
     """
-    q = tH.q
-    cls = tH.classes
-    R = tK.values_matrix()[:, fusion][:, cls.inverse_class]
-    W = tH.values_matrix() * cls.sizes[None, :] % q
-    return W @ R.T % q * inv_mod(tH.group.order, q) % q
+    return class_products(tH, tH.values_matrix(),
+                          tK.values_matrix()[:, fusion])
 
 
 def _transported_rows(G, R, tR, gs, members):

@@ -282,7 +282,6 @@ class Subgroup:
     parent: GroupTable
     members: tuple
     local: GroupTable
-    index_of: dict
     member_set: frozenset
     mask: np.ndarray
 
@@ -341,7 +340,6 @@ def make_subgroups(G, rows):
     for members, local, mask in zip(rows.tolist(), locals_, masks):
         members = tuple(members)
         out.append(Subgroup(parent=G, members=members, local=local,
-                            index_of={x: i for i, x in enumerate(members)},
                             member_set=frozenset(members), mask=mask))
     return out
 

@@ -18,11 +18,12 @@ from charposet.catalog import (
     realize_group,
 )
 from charposet.errors import (
+    GroupExprError,
     GroupSyntaxError,
     ParameterOutOfRange,
     UnknownConstructor,
 )
-from charposet.group import center
+from charposet.group import center, group_from_generators
 from util import cached_group, catalog_up_to
 
 
@@ -43,6 +44,12 @@ def test_parse_cycles_errors():
         parse_cycles("(1 2", 4)                # unclosed
     with pytest.raises(GroupSyntaxError):
         parse_cycles("", 4)
+
+
+def test_parse_cycles_offsets_count_from_offset():
+    with pytest.raises(ParameterOutOfRange) as exc:
+        parse_cycles("(1 5)", 4, offset=10)
+    assert exc.value.offset == 13
 
 
 @given(st.permutations(range(6)))
@@ -128,6 +135,137 @@ def test_large_cap_rejects_degrees_without_factorials(text, monkeypatch):
     with pytest.raises(ParameterOutOfRange) as exc:
         parse_group_expr(text)
     assert exc.value.offset == 2
+
+
+# The accepted language of perm[...] and sd[...], pinned as the earlier,
+# character-level cycle parser gave it: each input's canonical AST text
+# (its image tuple, for a (text, degree) input to parse_cycles) or the
+# exception class it raises.
+_LANGUAGE = {
+    # empty pieces between commas are skipped
+    "perm[3: (1 2),]": "perm[3: (1 2)]",
+    "perm[3: ,(1 2)]": "perm[3: (1 2)]",
+    "perm[3: (1 2),,(1 3)]": "perm[3: (1 2), (1 3)]",
+    "sd[3: (1 2 3),; ,(1 2 3); (1 2),]": "sd[3: (1 2 3); (1 2 3); (1 2)]",
+    # but a list holds at least one permutation
+    "perm[3: ]": GroupSyntaxError,
+    "sd[3: (1 2 3);(1 2 3);]": GroupSyntaxError,
+    "sd[3: ;(1 2 3); (1 2)]": GroupSyntaxError,
+    # cycles of one permutation are disjoint; of different ones need not be
+    "perm[3:(1 2)(1 2)]": GroupSyntaxError,
+    "perm[3: (1 2) (2 3)]": GroupSyntaxError,
+    "perm[3: (1 2), (2 3)]": "perm[3: (1 2), (2 3)]",
+    "sd[3: (1 2 3) (1 2 3) (1 2)]": GroupSyntaxError,
+    "perm[3: ((1 2))]": GroupSyntaxError,
+    "perm[3: (1 2 3), (1 2)]": "perm[3: (1 2 3), (1 2)]",
+    "perm[3: ()]": "perm[3: ()]",
+    "perm[3: (1)]": "perm[3: ()]",
+    "perm[3: (3 1)(2)]": "perm[3: (1 3)]",
+    "perm[5: (5 4), ( 1 2 3 )]": "perm[5: (4 5), (1 2 3)]",
+    "perm[4: (1 2)(3 4), ()]": "perm[4: (1 2)(3 4), ()]",
+    "perm[2000: (1 2)]": "perm[2000: (1 2)]",
+    "perm[3: (1 2)] x C(2)": "perm[3: (1 2)] x C(2)",
+    "sd[3: (1 2 3), (1 2); (1 2 3); (1 2)]":
+        "sd[3: (1 2 3), (1 2); (1 2 3); (1 2)]",
+    "sd[3: (1 2 3); (1 2 3); (1 2)] x perm[2: (1 2)]":
+        "sd[3: (1 2 3); (1 2 3); (1 2)] x perm[2: (1 2)]",
+    SEMIDIRECT_C4_C4: SEMIDIRECT_C4_C4,
+    # points and degrees out of range
+    "perm[3: (1 4)]": ParameterOutOfRange,
+    "perm[3: (0 1)]": ParameterOutOfRange,
+    "perm[0: ()]": ParameterOutOfRange,
+    "sd[3: (1 2 3); (1 2 3); (1 4)]": ParameterOutOfRange,
+    "sd[0: (); (); ()]": ParameterOutOfRange,
+    # malformed bodies
+    "perm[3: (1 2) x]": GroupSyntaxError, "perm[3: (1 2);]": GroupSyntaxError,
+    "perm[3: (1,2)]": GroupSyntaxError, "perm[3: (1 2]": GroupSyntaxError,
+    "perm[3 (1 2)]": GroupSyntaxError, "perm[3: (1 a)]": GroupSyntaxError,
+    "perm[3: (1 2)(]": GroupSyntaxError,
+    "perm[3: (1 2)), (1 3)]": GroupSyntaxError,
+    "perm[3: 1 2]": GroupSyntaxError, "perm[3: (1 2)] ]": GroupSyntaxError,
+    "sd[3: (1 2 3); (1 2 3)]": GroupSyntaxError,
+    # parse_cycles
+    ("(1 2", 4): GroupSyntaxError, ("(1 5)", 4): ParameterOutOfRange,
+    ("  (2 1) ", 2): (1, 0), ("(1)(2)", 2): (0, 1),
+    ("(1 2) x", 3): GroupSyntaxError,
+}
+
+
+@pytest.mark.parametrize("text", list(_LANGUAGE))
+def test_parser_language(text):
+    expected = _LANGUAGE[text]
+    if isinstance(text, tuple):
+        def parse():
+            return parse_cycles(*text)
+    else:
+        def parse():
+            return format_expr(parse_group_expr(text))
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            parse()
+    else:
+        assert parse() == expected
+
+
+# cycles on the points 1..5, out of range in perm[4: ...]
+_CYCLE = st.lists(st.integers(1, 5), unique=True, max_size=3).map(
+    lambda points: "(" + " ".join(map(str, points)) + ")")
+_PERM_LIST = st.lists(st.lists(_CYCLE, max_size=2).map("".join),
+                      max_size=3).map(",".join)
+_TOKEN = st.one_of(
+    st.integers(0, 10 ** 4).map(str), _CYCLE,
+    st.sampled_from(["(", ")", ",", ";", "[", "]", ":", "+", "-", "x",
+                     "perm", "sd", "C", "E", "X", "PSL", "Foo"]))
+_SOUP = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["", " "]), _TOKEN), max_size=12).map(
+        lambda toks: "".join(sep + tok for sep, tok in toks)),
+    st.tuples(st.sampled_from(["perm[4:", "perm[5:"]), _PERM_LIST).map(
+        lambda parts: f"{parts[0]} {parts[1]}]"),
+    st.tuples(_PERM_LIST, _PERM_LIST, _PERM_LIST).map(
+        lambda lists: f"sd[5: {'; '.join(lists)}]"),
+)
+
+
+@given(_SOUP, st.lists(st.tuples(st.integers(0, 100), _TOKEN), max_size=2))
+@settings(max_examples=300)
+def test_token_soup_parses_or_raises_expr_error(text, noise):
+    for at, tok in noise:       # tokens dropped in at random places
+        at %= len(text) + 1
+        text = text[:at] + tok + text[at:]
+    try:
+        expr = parse_group_expr(text)
+    except GroupExprError:
+        return
+    printed = format_expr(expr)
+    assert parse_group_expr(printed) == expr
+    assert format_expr(parse_group_expr(printed)) == printed
+
+
+@pytest.mark.parametrize("text, degree, gens", [
+    ("perm[6: (1 2 3), (1 2)]", 6, [(1, 2, 0, 3, 4, 5), (1, 0, 2, 3, 4, 5)]),
+    ("perm[9: (1 3)(2 4), ()]", 9, [(2, 3, 0, 1) + tuple(range(4, 9)),
+                                    tuple(range(9))]),
+])
+def test_perm_realizes_as_on_its_full_degree(text, degree, gens):
+    # images are kept only on the points up to the largest one moved; the
+    # closure on every point of the degree numbers the group the same way
+    G = realize(text)
+    full = group_from_generators(degree, gens)
+    assert np.array_equal(G.mul, full.mul) and G.words == full.words
+    assert G.label == text
+
+
+def test_fixed_points_do_not_change_the_ast():
+    assert parse_group_expr("perm[5: (4)(1 2)]") == \
+        parse_group_expr("perm[5: (1 2)]")
+    assert parse_group_expr("sd[5: (5); (1); ()]") == \
+        parse_group_expr("sd[5: (); (); ()]")
+
+
+def test_huge_perm_degree_costs_nothing():
+    text = "perm[1000000000000: (1 2), (3 4)]"
+    assert format_expr(parse_group_expr(text)) == text
+    assert realize(text).order == 4
 
 
 @given(st.integers(1, 30), st.integers(1, 15))

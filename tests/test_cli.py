@@ -108,6 +108,16 @@ def test_overlong_number_literal_exit_two(capsys):
     assert code == 0 and "components: 2" in text
 
 
+def test_huge_perm_degree_is_not_allocated(capsys):
+    # only the points the generators move are stored and closed; a list of
+    # 10^12 images would not fit in memory
+    code, text = _run(["components", "--p", "2",
+                       "perm[1000000000000: (1 2)]"])
+    assert code == 0 and "components: 2" in text
+    assert "perm[1000000000000: (1 2)]" in text
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_negative_e_exit_two(capsys):
     code, _ = _run(["components", "--p", "2", "--e", "-1", "C(4)"])
     assert code == 2
@@ -251,13 +261,14 @@ def test_catalog_run_csv():
 
 @pytest.mark.parametrize("target, broken", [
     ("restrict_values", lambda ctx, K, psi, H: [0] * ctx.table(H).count),
-    ("inner_product", lambda table, a, b: 0),
+    ("class_products",
+     lambda table, A, B: np.zeros((len(A), len(B)), dtype=np.int64)),
 ])
 def test_failed_character_check_exit_three(monkeypatch, capsys, target,
                                            broken):
-    # restrict_values feeds decompose_restriction, inner_product feeds the
-    # decompositions of both induce and decompose_restriction; neither is
-    # used to build the tables
+    # restrict_values feeds decompose_restriction, which is not used to
+    # build the tables; class_products feeds every table's row-orthogonality
+    # check and the decompositions of both induce and decompose_restriction
     monkeypatch.setattr(charposet.chartab, target, broken)
     code, text = _run(["verify", "--theorem", "L4.3", "--p", "3", "--e", "1",
                        "X(3,+)"])

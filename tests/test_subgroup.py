@@ -148,7 +148,6 @@ def test_lattice_nodes_are_read_only_and_indexed_by_members(text):
             assert not H.mask.flags.writeable
             assert np.flatnonzero(H.mask).tolist() == list(H.members)
             assert H.member_set == frozenset(H.members)
-            assert H.index_of == {m: i for i, m in enumerate(H.members)}
             for a in (H.local.mul, H.local.inv, H.local.elem_order):
                 assert not a.flags.writeable
             with pytest.raises(ValueError):

@@ -332,7 +332,7 @@ def node_restriction_multiplicities(tH, tK, H, K):
     VH = tH.values_matrix()
     VK = tK.values_matrix()
     kcls = np.array(
-        [int(tK.classes.class_of[K.index_of[H.members[r]]])
+        [int(tK.classes.class_of[K.members.index(H.members[r])])
          for r in tH.classes.reps], dtype=np.int64)
     # psi restricted to H, evaluated at H's inverse classes
     R = VK[:, kcls][:, tH.classes.inverse_class]
@@ -782,8 +782,8 @@ def direct_product_char(ctx, dp, phi, psi):
     for g in tG.classes.reps:
         a = int(dp.a_of[g])
         b = int(dp.b_of[g])
-        va = phi_vals[tA.classes.class_of[dp.a.index_of[a]]]
-        vb = psi_vals[tB.classes.class_of[dp.b.index_of[b]]]
+        va = phi_vals[tA.classes.class_of[dp.a.members.index(a)]]
+        vb = psi_vals[tB.classes.class_of[dp.b.members.index(b)]]
         vals.append(int(va * vb % q))
     vals = tuple(vals)
     for chi in tG.chars:
@@ -803,7 +803,7 @@ def lift_through_complement(ctx, H, K, phi):
     for g in tG.classes.reps:
         # the k with g k^-1 in H; it is unique since H and K meet trivially
         k = next(k for k in K.members if H.mask[G.mul[g, G.inv[k]]])
-        vals.append(int(phi.values[tK.classes.class_of[K.index_of[k]]]))
+        vals.append(int(phi.values[tK.classes.class_of[K.members.index(k)]]))
     vals = tuple(vals)
     for chi in tG.chars:
         if chi.values == vals:
