@@ -57,21 +57,21 @@ def _cyc(degree, *cycles):
 
 def cycles_string(img):
     """Canonical disjoint-cycle form of a 0-based image tuple (1-based print)."""
-    seen = set()
-    parts = []
+    cycles, seen = [], set()
     for start in range(len(img)):
-        if start in seen or img[start] == start:
-            seen.add(start)
-            continue
-        cyc = [start]
-        seen.add(start)
-        nxt = img[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = img[nxt]
-        parts.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
-    return "".join(parts) if parts else "()"
+        if start not in seen:
+            cyc = [start]
+            while img[cyc[-1]] != start:
+                cyc.append(img[cyc[-1]])
+            seen.update(cyc)
+            cycles.append(cyc)
+    return _cycles_text(c for c in cycles if len(c) > 1)
+
+
+def _cycles_text(cycles):
+    """0-based cycles in 1-based cycle notation; "()" when there are none."""
+    return "".join("(" + " ".join(str(pt + 1) for pt in c) + ")"
+                   for c in cycles) or "()"
 
 
 # --- abstract syntax ------------------------------------------------------
@@ -89,10 +89,10 @@ class Named:
 @dataclass(frozen=True)
 class Perm:
     degree: int
-    gens: tuple     # image tuples on the points 1..m that any of them moves
+    gens: tuple     # each a permutation's canonical 0-based cycles
 
     def __str__(self):
-        body = ", ".join(cycles_string(g) for g in self.gens)
+        body = ", ".join(map(_cycles_text, self.gens))
         return f"perm[{self.degree}: {body}]"
 
 
@@ -105,7 +105,7 @@ class SemidirectByPerms:
 
     def __str__(self):
         lists = (self.gens, self.normal_gens, self.complement_gens)
-        body = "; ".join(", ".join(map(cycles_string, g)) for g in lists)
+        body = "; ".join(", ".join(map(_cycles_text, g)) for g in lists)
         return f"sd[{self.degree}: {body}]"
 
 
@@ -233,8 +233,8 @@ class _Parser:
         return Named(name, tuple(args))
 
     def parse_cycles(self, degree):
-        """One permutation "(1 2 3)(4 5)" as its disjoint cycles of two or
-        more points, each a tuple of 0-based points in 0..degree-1."""
+        """One permutation "(1 2 3)(4 5)" as its sorted disjoint cycles of
+        two or more 0-based points, each starting at its least point."""
         cycles, seen = [], set()
         while True:
             self.take("sym", "(")
@@ -251,9 +251,10 @@ class _Parser:
                 cycle.append(pt - 1)
             self.take("sym", ")")
             if len(cycle) > 1:
-                cycles.append(tuple(cycle))
+                k = cycle.index(min(cycle))
+                cycles.append(tuple(cycle[k:] + cycle[:k]))
             if self.peek()[:2] != ("sym", "("):
-                return cycles
+                return tuple(sorted(cycles))
 
     def _perm_list(self, degree):
         """Comma-separated permutations; empty pieces between commas are
@@ -267,16 +268,13 @@ class _Parser:
             self.take()
         if not perms:
             raise GroupSyntaxError("expected permutations", off, {"("})
-        return perms
+        return tuple(perms)
 
     def parse_perm(self):
         """perm[n: list] or sd[n: list; list; list].
 
-        Each generator keeps its images on the points 1..m only, m the
-        largest point any generator moves (at least 1): every later point
-        is fixed, so a large degree n costs nothing, the closure on m points
-        numbers the group as it would on n, and the AST does not depend on
-        how fixed points are written.
+        Generators are kept as canonical cycles (`parse_cycles`): a huge n
+        or moved point costs nothing, and how cycles are written is lost.
         """
         _, name, _ = self.take("name")
         self.take("sym", "[")
@@ -289,11 +287,8 @@ class _Parser:
             self.take("sym", ";")
             lists.append(self._perm_list(degree))
         self.take("sym", "]")
-        m = 1 + max((pt for perms in lists for perm in perms
-                     for cycle in perm for pt in cycle), default=0)
-        gens = [tuple(_cyc(m, *perm) for perm in perms) for perms in lists]
         node = Perm if name == "perm" else SemidirectByPerms
-        return node(degree, *gens)
+        return node(degree, *lists)
 
 
 def _out_of_range(name, args):
@@ -441,23 +436,33 @@ def _realize_sl2(p):
     return group_from_generators(len(points), [e12, e21], label=f"SL(2,{p})")
 
 
+def _moved_images(lists):
+    """(k, images): each permutation (as cycles) of each list as an image
+    tuple on the k >= 1 points that any of them moves, relabelled 0..k-1 in
+    order. One bijection conjugates them all, so the closure numbers the
+    group as it would on every point."""
+    points = sorted({pt for perms in lists for perm in perms
+                     for cycle in perm for pt in cycle})
+    new = {pt: i for i, pt in enumerate(points)}
+    k = max(len(points), 1)
+    return k, [[_cyc(k, *(tuple(new[pt] for pt in c) for c in perm))
+                 for perm in perms] for perms in lists]
+
+
 def realize_group(expr):
     """Realize a group expression as a GroupTable and check its contract."""
     label = str(expr)
     if isinstance(expr, Perm):
-        return group_from_generators(len(expr.gens[0]), expr.gens,
-                                     label=label)
+        k, (gens,) = _moved_images([expr.gens])
+        return group_from_generators(k, gens, label=label)
 
     if isinstance(expr, SemidirectByPerms):
-        all_gens = list(dict.fromkeys(
-            expr.gens + expr.normal_gens + expr.complement_gens))
-        table, index = closure_of_permutations(len(all_gens[0]), all_gens,
-                                               label=label)
-        h_members = closure_members(table, [index[g] for g in expr.normal_gens])
-        k_members = closure_members(table,
-                                    [index[g] for g in expr.complement_gens])
-        H = make_subgroup(table, h_members)
-        K = make_subgroup(table, k_members)
+        k, (gens, normal, complement) = _moved_images(
+            [expr.gens, expr.normal_gens, expr.complement_gens])
+        table, index = closure_of_permutations(
+            k, list(dict.fromkeys(gens + normal + complement)), label=label)
+        H, K = (make_subgroup(table, closure_members(
+            table, [index[g] for g in gs])) for gs in (normal, complement))
         validate_semidirect(table, H, K)   # raises NotASemidirectDecomposition
         return dataclasses.replace(table,
                                    semidirect_parts=(H.members, K.members))

@@ -594,6 +594,10 @@ def _build_p_lattice(G, p):
     if nodes and nodes[-1].order != sylow:
         raise LatticeConstructionFailed(
             "p-subgroup enumeration missed a Sylow level")
+    # Sylow's theorem: G is transitive on its Sylow p-subgroups
+    if nodes and len({classes[m][0] for m in levels[-1]}) > 1:
+        raise LatticeConstructionFailed(
+            "the Sylow p-subgroups are not one conjugacy class")
     return PSubgroupLattice(
         group=G, p=p, e=0, nodes=nodes,
         covers=tuple((i, j) for j, i in covers),
@@ -688,7 +692,8 @@ def common_intersection_of_order(G, p, k):
 
 
 def all_subgroups(G):
-    """Cached build_all_subgroups; a test oracle, not used by the library."""
+    """Cached build_all_subgroups; a test oracle, not used by the library.
+    It stays in src/ because the benchmark's tracer wraps it by name."""
     return G.memo("all_subgroups", lambda: build_all_subgroups(G))
 
 
@@ -696,6 +701,7 @@ def build_all_subgroups(G):
     """Every subgroup of G, by breadth-first generator adjunction.
 
     Bounded scan per the non-goals: intended for the catalog's small orders.
+    A test oracle, kept in src/ for all_subgroups.
     """
     seen = {(0,)}
     queue = [(0,)]

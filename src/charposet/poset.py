@@ -76,6 +76,8 @@ def action_on_components(partition, node_image, base_node=0):
     a component across components raises ActionNotCompatible. The orbit is
     the closure of the base component under the generators: in a finite
     group every inverse is a positive power, so the closure is the orbit.
+    A test oracle, not used by the library; it stays in src/ because the
+    benchmark's tracer wraps it by name.
     """
     n = partition.node_count
     img = np.asarray(node_image)

@@ -245,10 +245,12 @@ def test_token_soup_parses_or_raises_expr_error(text, noise):
     ("perm[6: (1 2 3), (1 2)]", 6, [(1, 2, 0, 3, 4, 5), (1, 0, 2, 3, 4, 5)]),
     ("perm[9: (1 3)(2 4), ()]", 9, [(2, 3, 0, 1) + tuple(range(4, 9)),
                                     tuple(range(9))]),
+    ("perm[9: (3 5 7), (5 9)]", 9, [(0, 1, 4, 3, 6, 5, 2, 7, 8),
+                                    (0, 1, 2, 3, 8, 5, 6, 7, 4)]),
 ])
 def test_perm_realizes_as_on_its_full_degree(text, degree, gens):
-    # images are kept only on the points up to the largest one moved; the
-    # closure on every point of the degree numbers the group the same way
+    # only the moved points are closed, relabelled in order; the closure on
+    # every point of the degree numbers the group the same way
     G = realize(text)
     full = group_from_generators(degree, gens)
     assert np.array_equal(G.mul, full.mul) and G.words == full.words
@@ -266,6 +268,29 @@ def test_huge_perm_degree_costs_nothing():
     text = "perm[1000000000000: (1 2), (3 4)]"
     assert format_expr(parse_group_expr(text)) == text
     assert realize(text).order == 4
+
+
+def test_cycles_are_stored_canonically():
+    # each cycle starts at its least point and the cycles are sorted
+    expr = parse_group_expr("perm[6: (5 4)(3 1 2), (6 2)]")
+    assert expr.gens == (((0, 1, 2), (3, 4)), ((1, 5),))
+    assert expr == parse_group_expr("perm[6: (1 2 3)(4 5), (2 6)]")
+    assert format_expr(expr) == "perm[6: (1 2 3)(4 5), (2 6)]"
+
+
+def test_huge_moved_points_cost_nothing():
+    # 10^12 points are never listed: only the moved ones are closed
+    big, bigger = 1000000000000, 2000000000000
+    text = f"perm[{big}: (1 {big})]"
+    assert format_expr(parse_group_expr(text)) == text
+    assert realize(text).order == 2
+    sd = (f"sd[{bigger}: (1 {big} {bigger}), (1 {big}); "
+          f"(1 {big} {bigger}); (1 {big})]")
+    G = realize(sd)
+    small = realize("sd[3: (1 2 3), (1 2); (1 2 3); (1 2)]")
+    assert format_expr(parse_group_expr(sd)) == sd and G.label == sd
+    assert np.array_equal(G.mul, small.mul) and G.words == small.words
+    assert G.semidirect_parts == small.semidirect_parts
 
 
 @given(st.integers(1, 30), st.integers(1, 15))

@@ -109,13 +109,14 @@ def test_overlong_number_literal_exit_two(capsys):
 
 
 def test_huge_perm_degree_is_not_allocated(capsys):
-    # only the points the generators move are stored and closed; a list of
-    # 10^12 images would not fit in memory
-    code, text = _run(["components", "--p", "2",
-                       "perm[1000000000000: (1 2)]"])
-    assert code == 0 and "components: 2" in text
-    assert "perm[1000000000000: (1 2)]" in text
-    assert "Traceback" not in capsys.readouterr().err
+    # only the points the generators move are closed, relabelled 0..k-1; a
+    # list of 10^12 images would not fit in memory
+    for expr in ("perm[1000000000000: (1 2)]",
+                 "perm[1000000000000: (1 1000000000000)]"):
+        code, text = _run(["components", "--p", "2", expr])
+        assert code == 0 and "components: 2" in text
+        assert expr in text
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_negative_e_exit_two(capsys):

@@ -1,6 +1,7 @@
 """S and Gamma posets, strong embedding, and claim verification."""
 import dataclasses
 import gc
+import io
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import charposet
 import charposet.chartab
 import charposet.gamma
 from charposet.catalog import SEMIDIRECT_C4_C4, realize
+from charposet.cli import run
 from charposet.errors import (
     HypothesisNotSatisfied,
     NotASylowNode,
@@ -430,3 +432,36 @@ def test_verify_does_not_import_numpy_ma():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Test oracles that stay in src/ only because the benchmark's tracer wraps
+# them by name, each with its defining module.
+_SRC_ORACLES = (("charposet.gamma", "s_node_images"),
+                ("charposet.gamma", "_generating_set"),
+                ("charposet.poset", "action_on_components"),
+                ("charposet.group", "all_subgroups"),
+                ("charposet.group", "build_all_subgroups"))
+
+
+def test_library_never_runs_its_oracles(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the library ran a test oracle")
+
+    for module, name in _SRC_ORACLES:
+        original = getattr(sys.modules[module], name)
+        for mod in list(sys.modules.values()):
+            mod_name = getattr(mod, "__name__", "")
+            if mod_name == "charposet" or mod_name.startswith("charposet."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, forbidden)
+    assert charposet.gamma.s_node_images is forbidden
+    assert charposet.all_subgroups is forbidden
+    out = io.StringIO()
+    assert run(["catalog-run"], out) == 0
+    assert out.getvalue().splitlines()[-1] == \
+        "pass: 337  fail: 0  inapplicable: 729"
+    for text in ("PSL(2,11)", "PSL(2,8)", "A(6)"):
+        G = realize(text)
+        for p in (2, 3):
+            assert verify(G, p, 0, "ThmA").status == "pass", (text, p)

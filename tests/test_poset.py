@@ -7,18 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import charposet.gamma
+import charposet.group
+import util
 from charposet.catalog import realize
 from charposet.cli import run
 from charposet.errors import ActionNotCompatible
-from charposet.gamma import gamma_poset, s_component_action, s_poset
+from charposet.gamma import gamma_poset, s_poset
 from charposet.poset import action_on_components, components
 from util import (
     DIFFERENTIAL_GROUPS,
     cached_group,
     check_node_action,
+    commuting_graph_components,
     element_component_action,
     element_node_images,
+    s_component_action,
 )
 
 
@@ -185,16 +188,49 @@ def _identity_rows(spos):
 def test_orbit_that_misses_a_sylow_component_is_rejected(monkeypatch):
     # with every generator acting trivially, the orbit of the base component
     # is itself, but A(5) has five Sylow 2-subgroups in five components
-    monkeypatch.setattr(charposet.gamma, "s_node_images", _identity_rows)
+    monkeypatch.setattr(util, "s_node_images", _identity_rows)
     with pytest.raises(ActionNotCompatible, match="Sylow"):
         s_component_action(s_poset(realize("A(5)"), 2, 0))
 
 
-def test_verify_reports_a_broken_action_as_one_error(monkeypatch, capsys):
-    monkeypatch.setattr(charposet.gamma, "s_node_images", _identity_rows)
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_orbit_length_is_the_sylow_component_count(text):
+    # the orbit walk, the components holding a Sylow node (what ThmA
+    # reads) and all of pi_0 S are one count, wherever S is nonempty
+    G = cached_group(text)
+    for p in (2, 3, 5, 7):
+        for e in (0, 1):
+            spos = s_poset(G, p, e)
+            if spos.lattice.node_count:
+                sylow = {spos.partition.component_of[i]
+                         for i in spos.lattice.sylow_ids}
+                assert len(s_component_action(spos)) == len(sylow) == \
+                    spos.partition.count, (p, e)
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_commuting_graph_counts_the_components_of_s(text):
+    # Quillen's A_p(G) and S_p(G) have the same components; the graph is
+    # built from the elements of order p, without the lattice
+    G = cached_group(text)
+    for p in (2, 3, 5, 7):
+        if G.order % p == 0:
+            assert commuting_graph_components(G, p) == \
+                s_poset(G, p, 0).partition.count, p
+
+
+def _classes_split(G, nmask):
+    # the transversal [1] makes every node its own conjugacy class
+    return np.array([0])
+
+
+def test_verify_reports_split_sylow_classes_as_one_error(monkeypatch,
+                                                        capsys):
+    monkeypatch.setattr(charposet.group, "_right_transversal", _classes_split)
     out = io.StringIO()
     assert run(["verify", "--theorem", "A", "--p", "2", "A(5)"], out) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.count("error:") == 1 and out.getvalue() == ""
-    assert "ActionNotCompatible" in err and "Traceback" not in err
+    assert "LatticeConstructionFailed" in err and "Traceback" not in err
+    assert "not one conjugacy class" in err

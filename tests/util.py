@@ -5,6 +5,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+import networkx as nx
 import numpy as np
 
 from charposet.catalog import catalog_roster, realize
@@ -51,7 +52,7 @@ from charposet.modlinalg import (
     poly_scale,
     poly_trim,
 )
-from charposet.poset import components
+from charposet.poset import action_on_components, components
 
 # The catalog plus the largest groups the engine handles: the groups on
 # which the generator-based fast paths are checked against their oracles.
@@ -261,6 +262,46 @@ def element_node_images(spos):
             found.append(ys)
         frontier = np.concatenate(found)
     return img
+
+
+def s_component_action(spos):
+    """Orbit of the first Sylow node's component under G's generators.
+
+    The orbit walk over `s_node_images`. Sylow's theorem makes G transitive
+    on its Sylow p-subgroups, so the orbit must be exactly the components
+    that hold a Sylow node; any other orbit raises ActionNotCompatible.
+    """
+    lat = spos.lattice
+    if not lat.sylow_ids:
+        raise PreconditionViolated("empty poset has no base component")
+    orbit = action_on_components(spos.partition, s_node_images(spos),
+                                 base_node=lat.sylow_ids[0])
+    sylow = {spos.partition.component_of[i] for i in lat.sylow_ids}
+    if set(orbit) != sylow:
+        raise ActionNotCompatible(f"orbit of {len(orbit)} components, but "
+                                  f"{len(sylow)} hold a Sylow node")
+    return orbit
+
+
+def commuting_graph_components(G, p):
+    """Components of Quillen's commuting graph on the subgroups of order p.
+
+    Its nodes are the subgroups <x> with x of order p, and X ~ Y when their
+    generators commute. By Quillen (1978, Prop. 2.1) the count equals
+    |pi_0 S_{p,0}(G)|. Reads only G's element orders and products, never
+    the p-subgroup lattice.
+    """
+    xs = np.flatnonzero(G.elem_order == p)
+    # each x of order p generates <x>; keep one generator per subgroup
+    powers = [xs]
+    for _ in range(p - 2):
+        powers.append(G.mul[powers[-1], xs])
+    gens = xs[np.stack(powers).min(axis=0) == xs]
+    commute = G.mul[gens[:, None], gens] == G.mul[gens[None, :], gens[:, None]]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(gens.size))
+    graph.add_edges_from(zip(*np.nonzero(commute)))
+    return nx.number_connected_components(graph)
 
 
 @dataclass(frozen=True, eq=False)
