@@ -12,7 +12,6 @@ from .catalog import (
     catalog_roster,
     cycles_string,
     format_expr,
-    parse_cycles,
     parse_group_expr,
     realize,
     realize_group,
@@ -68,7 +67,7 @@ __all__ = [
     "decompose_restriction", "dixon_modulus", "enumerate_p_subgroups",
     "format_expr", "gamma_poset", "group_from_generators", "induce",
     "inner_product", "irr_table", "make_subgroup", "normalizer", "omega1",
-    "parse_cycles", "parse_group_expr", "realize", "realize_group",
+    "parse_group_expr", "realize", "realize_group",
     "restrict_values", "s_poset",
     "scan_nontrivial_I", "strongly_embedded_check", "subgroup_closure",
     "verify", "x_of_sylow",

@@ -35,17 +35,6 @@ from .modlinalg import poly_divmod, poly_mul
 
 # --- cycle notation -------------------------------------------------------
 
-def parse_cycles(text, degree, offset=0):
-    """Parse "(1 2 3)(4 5)" into a 0-based image tuple on `degree` points.
-
-    Points are 1-based and whitespace-separated; cycles must be disjoint;
-    fixed points are omitted. "()" is the identity. Error offsets are
-    counted from `offset`.
-    """
-    parser = _Parser(text, offset)
-    return _cyc(degree, *parser.parse(parser.parse_cycles, degree))
-
-
 def _cyc(degree, *cycles):
     """The image tuple on `degree` points of disjoint 0-based cycles."""
     img = list(range(degree))
@@ -132,7 +121,7 @@ _SIGNATURES = {"C": "n", "E": "nn", "D": "n", "Q": "n", "SD": "n", "M": "nn",
 _CTORS = set(_SIGNATURES)
 
 
-def _tokenize(text, offset=0):
+def _tokenize(text):
     """(kind, value, offset) of each token of text, then an end token."""
     out = []
     pos = 0
@@ -142,9 +131,9 @@ def _tokenize(text, offset=0):
             if text[pos:].strip() == "":
                 break
             raise GroupSyntaxError(f"unexpected character {text[pos]!r}",
-                                   offset + pos)
+                                   pos)
         kind = m.lastgroup
-        value, at = m.group(kind), offset + m.start(kind)
+        value, at = m.group(kind), m.start(kind)
         if kind == "num":
             try:
                 value = int(value)
@@ -154,13 +143,13 @@ def _tokenize(text, offset=0):
                     at) from None
         out.append((kind, value, at))
         pos = m.end()
-    out.append(("end", None, offset + len(text)))
+    out.append(("end", None, len(text)))
     return out
 
 
 class _Parser:
-    def __init__(self, text, offset=0):
-        self.toks = _tokenize(text, offset)
+    def __init__(self, text):
+        self.toks = _tokenize(text)
         self.i = 0
 
     def peek(self):
@@ -176,9 +165,9 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse(self, rule, *args):
-        """rule(*args), which must consume every token."""
-        out = rule(*args)
+    def parse(self, rule):
+        """rule(), which must consume every token."""
+        out = rule()
         tok = self.peek()
         if tok[0] != "end":
             raise GroupSyntaxError(f"trailing input {tok[1]!r}", tok[2], {"end"})
@@ -402,10 +391,16 @@ class _GF:
         return self._encode(poly_divmod(f, self.modpoly, self.p)[1])
 
     def inv(self, a):
-        for b in range(1, self.q):
-            if self.mul(a, b) == 1:
-                return b
-        raise ZeroDivisionError("GF inverse of zero")
+        """a^(q-2) = a^-1, by square-and-multiply: O(log q) products."""
+        if a == 0:
+            raise ZeroDivisionError("GF inverse of zero")
+        acc, k = 1, self.q - 2
+        while k:
+            if k & 1:
+                acc = self.mul(acc, a)
+            a = self.mul(a, a)
+            k >>= 1
+        return acc
 
 
 def _realize_psl2(q):

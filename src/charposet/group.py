@@ -210,10 +210,14 @@ def closure_of_permutations(degree, gens, label="G", cap=None):
     generators in input order, so numbering is reproducible: each level's
     frontier is composed with every generator in one gather, and its new
     elements are numbered in (element, generator) order, exactly as a queue
-    BFS numbers them. The BFS records right[x*|gens| + g] = x*g and, for each
-    new element y = x*g, its parent (x, g); the table is then filled in
-    place, one level of columns per gather, from z*y = (z*x)*g. Raises
-    ClosureCapExceeded when |G| > cap.
+    BFS numbers them. Products compose left to right, (x*g)[i] = g[x[i]].
+
+    The frontiers, kept in order, are the permutations of the elements, and
+    one lookup per (generator, element) gives left[g][z] = g*z. For each new
+    element y = x*g the row of y is the row of x gathered at left[g], since
+    y*z = x*(g*z); rows are filled in BFS order, so x's row is ready before
+    y's. Inverses are read from the inverted permutations and checked by
+    x*inv[x] = 1. Raises ClosureCapExceeded when |G| > cap.
     """
     if cap is None:
         cap = order_cap()
@@ -225,6 +229,12 @@ def closure_of_permutations(degree, gens, label="G", cap=None):
     dtype = np.min_scalar_type(max(degree - 1, 0))
     garr = np.array(gens, dtype=dtype).reshape(ngens, degree)
     row = np.dtype((np.void, degree * dtype.itemsize))     # one permutation
+
+    def lookup(perms):
+        # element index of each permutation row; every row must be known
+        return [index[key] for key in
+                np.ascontiguousarray(perms).view(row).ravel().tolist()]
+
     syms = [
         _GEN_SYMBOLS[i] if i < len(_GEN_SYMBOLS) else f"g{i}"
         for i in range(ngens)
@@ -232,7 +242,7 @@ def closure_of_permutations(degree, gens, label="G", cap=None):
     frontier = np.arange(degree, dtype=dtype)[None, :]
     index = {frontier.tobytes(): 0}        # permutation bytes -> element
     words = ["e"]
-    right = []                             # per level: x*g, (x, g) order
+    perms = [frontier]                     # per level: its elements' images
     parents = []                           # per level: (x, g) of each new y
     while frontier.shape[0]:
         # cand[x, g] = frontier[x] then gens[g]
@@ -248,22 +258,36 @@ def closure_of_permutations(degree, gens, label="G", cap=None):
         seen = np.maximum.accumulate(np.concatenate(([n0 - 1], ids[:-1])))
         pos = np.flatnonzero(ids > seen)
         xs = (n0 - frontier.shape[0]) + pos // ngens
-        gis = (pos % ngens).astype(np.int32)
+        gis = pos % ngens
         words.extend(syms[gi] if x == 0 else f"{words[x]}*{syms[gi]}"
                      for x, gi in zip(xs.tolist(), gis.tolist()))
-        right.append(ids)
-        parents.append((xs, gis))
+        parents.append((xs.tolist(), gis.tolist()))
         frontier = cand[pos]
+        perms.append(frontier)
     n = len(index)
-    right = np.concatenate(right)
+    perms = np.concatenate(perms)
+    # left[g][z] = g*z, whose images are (g*z)[i] = z[g[i]]
+    left = np.array([lookup(perms[:, g]) for g in garr],
+                    dtype=np.intp).reshape(ngens, n)
     mul = np.empty((n, n), dtype=np.int32)
-    mul[:, 0] = np.arange(n, dtype=np.int32)
+    mul[0] = np.arange(n, dtype=np.int32)
     y = 1
     for xs, gis in parents:
-        mul[:, y:y + xs.size] = right[mul[:, xs] * ngens + gis]
-        y += xs.size
-    table = table_from_mul(mul, label=label, words=tuple(words))
-    return table, {g: int(right[gi]) for gi, g in enumerate(gens)}
+        for x, gi in zip(xs, gis):
+            # mode="clip": "raise" buffers every call that has an out=
+            mul[x].take(left[gi], out=mul[y], mode="clip")
+            y += 1
+    inverted = np.empty_like(perms)
+    inverted[np.arange(n)[:, None], perms] = np.arange(degree, dtype=dtype)
+    inv = np.array(lookup(inverted), dtype=np.int32)
+    if (mul[np.arange(n), inv] != 0).any():
+        raise ValueError("an inverted permutation is not the inverse")
+    elem_order = _elem_orders(mul)
+    for a in (mul, inv, elem_order):
+        a.setflags(write=False)
+    table = GroupTable(order=n, mul=mul, inv=inv, elem_order=elem_order,
+                       label=label, words=tuple(words))
+    return table, {g: index[a.tobytes()] for g, a in zip(gens, garr)}
 
 
 def group_from_generators(degree, gens, label="G", cap=None):
@@ -485,14 +509,13 @@ class PSubgroupLattice:
 
 
 def _right_transversal(G, nmask):
-    """The least element of each right coset of N, given by its mask."""
-    covered = nmask.copy()
-    narr = np.flatnonzero(nmask)
-    reps = [0]
-    while not covered.all():
-        reps.append(int(np.argmin(covered)))
-        covered[G.mul[narr, reps[-1]]] = True
-    return np.array(reps)
+    """The least element of each right coset of N, given by its mask,
+    ascending: column g of N's rows is the coset Ng, and g represents Ng
+    when it is that column's least element."""
+    if nmask.all():
+        return np.zeros(1, dtype=np.intp)
+    least = G.mul[nmask].min(axis=0)
+    return np.flatnonzero(least == np.arange(G.order))
 
 
 def _conjugates(G, elems, T):

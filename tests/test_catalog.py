@@ -9,10 +9,10 @@ from charposet.catalog import (
     Named,
     Product,
     _GF,
+    _cyc,
     catalog_roster,
     cycles_string,
     format_expr,
-    parse_cycles,
     parse_group_expr,
     realize,
     realize_group,
@@ -28,6 +28,12 @@ from util import cached_group, catalog_up_to
 
 
 # --- cycle notation ---------------------------------------------------------
+
+def parse_cycles(text, degree):
+    """One permutation in cycle notation as its 0-based image tuple on
+    `degree` points, read by the expression parser as perm[degree: text]."""
+    return _cyc(degree, *parse_group_expr(f"perm[{degree}: {text}]").gens[0])
+
 
 def test_parse_cycles_basic():
     assert parse_cycles("(1 2 3)", 4) == (1, 2, 0, 3)
@@ -47,9 +53,10 @@ def test_parse_cycles_errors():
 
 
 def test_parse_cycles_offsets_count_from_offset():
+    # a point's offset counts from the start of the whole expression
     with pytest.raises(ParameterOutOfRange) as exc:
-        parse_cycles("(1 5)", 4, offset=10)
-    assert exc.value.offset == 13
+        parse_cycles("(1 5)", 4)
+    assert exc.value.offset == len("perm[4: (1 ")
 
 
 @given(st.permutations(range(6)))

@@ -1,5 +1,6 @@
 """Group tables, subgroups, and the p-subgroup lattice."""
 import dataclasses
+import hashlib
 import os
 from math import isqrt
 
@@ -22,6 +23,8 @@ from charposet.errors import (
 from charposet.gamma import s_poset
 from charposet.group import (
     _index_p_overgroups,
+    _normalizer_mask,
+    _right_transversal,
     all_subgroups,
     center,
     closure_members,
@@ -37,6 +40,7 @@ from charposet.group import (
     normalizer,
     omega1,
     order_cap,
+    p_lattice,
     p_valuation,
     prime_power,
     subgroup_closure,
@@ -59,6 +63,7 @@ from util import (
     iterated_elem_orders,
     levelled_p_subgroups,
     looped_overgroups,
+    looped_right_transversal,
     scanned_inverses,
     scanned_p_lattice,
     validate_group_table,
@@ -402,6 +407,22 @@ def test_batched_extension_matches_element_loop(text):
                 for H in level], (p, order)
 
 
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+@pytest.mark.parametrize("p", [2, 3])
+def test_right_transversal_matches_argmin_loop(text, p):
+    # the normalizer of every class representative, and N = G itself
+    G = cached_group(text)
+    lat = p_lattice(G, p)
+    nmasks = [np.ones(G.order, dtype=bool)] + [
+        _normalizer_mask(G, H.members, H.mask)
+        for i, (H, (r, _)) in enumerate(zip(lat.nodes, lat.conjugates))
+        if r == i]
+    for nmask in nmasks:
+        T = _right_transversal(G, nmask)
+        assert T.tolist() == looped_right_transversal(G, nmask).tolist()
+        assert T.size * nmask.sum() == G.order
+
+
 @pytest.mark.parametrize("text", ["D(4)", "Q(8)", "X(3,+)", "X(3,-)"])
 def test_frattini_is_the_lattice_node(text):
     # L4.3 reads Phi(G)'s table; the lattice node carries the cached one
@@ -507,6 +528,41 @@ def test_generator_fill_matches_composition_oracle(monkeypatch, text):
     for table, degree, gens, cap in closures:
         _assert_table_matches_oracles(table, degree, gens, cap)
     _assert_inverses_and_orders_match_oracles(G)
+
+
+def _refuse_table_from_mul(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a permutation closure went through "
+                             "table_from_mul")
+
+    monkeypatch.setattr(group_module, "table_from_mul", refuse)
+
+
+def test_frontier_group_realizes_from_its_permutations(monkeypatch):
+    # PSL(2,23): the row fill and the inverted permutations give a table
+    # the |G|^2 scans agree with, and no raw-table scan runs
+    monkeypatch.setenv("CHARPOSET_ORDER_CAP", "6072")
+    _refuse_table_from_mul(monkeypatch)
+    G = realize("PSL(2,23)")
+    assert G.order == 6072
+    # pinned: any change to the numbering or to one product shows here
+    table = np.ascontiguousarray(G.mul, dtype="<i4")
+    assert hashlib.sha1(table).hexdigest() == \
+        "1ad982c0416024d5cece304c96f1c13df8106df0"
+    _assert_inverses_and_orders_match_oracles(G)
+    x, y, z = np.random.default_rng(23).integers(G.order, size=(3, 10_000))
+    assert (G.mul[G.mul[x, y], z] == G.mul[x, G.mul[y, z]]).all()
+
+
+@pytest.mark.parametrize("text", [
+    "perm[6: (1 2 3 4 5 6), (1 2)]", "S(4)", "PSL(2,7)",
+    "sd[8: (1 2 3 4), (2 4)(5 6 7 8); (1 2 3 4); (2 4)(5 6 7 8)]",
+])
+def test_permutation_closure_never_calls_table_from_mul(monkeypatch, text):
+    expected = cached_group(text)
+    _refuse_table_from_mul(monkeypatch)
+    G = realize(text)
+    assert np.array_equal(G.mul, expected.mul)
 
 
 @st.composite

@@ -601,6 +601,18 @@ def _extensions_by_subgroup_tables(G, mem, p):
     return out
 
 
+def looped_right_transversal(G, nmask):
+    """The least element of each right coset of N, given by its mask, one
+    argmin per coset: the oracle of the one-gather `_right_transversal`."""
+    covered = nmask.copy()
+    narr = np.flatnonzero(nmask)
+    reps = [0]
+    while not covered.all():
+        reps.append(int(np.argmin(covered)))
+        covered[G.mul[narr, reps[-1]]] = True
+    return np.array(reps)
+
+
 def looped_overgroups(G, mem, gens, p):
     """Index-p overgroups of the p-subgroup H = <gens> with members `mem`,
     by a loop over the elements of N_G(H): the oracle of the batched
