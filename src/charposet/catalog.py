@@ -3,7 +3,10 @@
 Every family but E(p,k) and direct products is a permutation group (the
 regular action for the normal-form families) closed by `group_from_generators`
 or `closure_of_permutations`; those two are `direct_table_product`s of
-realized factors. Each realized table is checked against its family's contract.
+realized factors, and a product's order is checked against the cap first.
+PSL(2,q) acts on the projective line, its generators read from the addition
+and multiplication tables of GF(q) (`_gf_tables`). Each realized table is
+checked against its family's contract.
 """
 from __future__ import annotations
 
@@ -11,6 +14,8 @@ import dataclasses
 import re
 from dataclasses import dataclass
 from math import factorial, gcd, prod
+
+import numpy as np
 
 from .errors import (
     ConstructionContractViolated,
@@ -30,7 +35,6 @@ from .group import (
     prime_power,
     validate_semidirect,
 )
-from .modlinalg import poly_divmod, poly_mul
 
 
 # --- cycle notation -------------------------------------------------------
@@ -352,74 +356,41 @@ def _involutions(table):
     return int((table.elem_order == 2).sum())
 
 
-class _GF:
-    """Tiny GF(p^k) with integer-encoded elements (base-p digit vectors).
+def _gf_tables(p, k):
+    """(add, mul): the addition and multiplication tables of GF(p^k), as
+    (q, q) arrays indexed by element code. An element is a polynomial of
+    degree < k in t, coded by its coefficients as base-p digits.
 
-    The modulus is the first monic degree-k polynomial, in the order of its
-    encoded lower coefficients, with no monic factor of degree 1..k//2. It
-    fixes the element numbering of every realized PSL(2, p^k).
+    The modulus is the first t^k + c(t), c in code order, whose quotient
+    ring has no zero divisors; that ring is then the field, and the
+    modulus, irreducible and so always found, fixes the element numbering
+    of every realized PSL(2, p^k).
     """
-
-    def __init__(self, p, k):
-        self.p = p
-        self.k = k
-        self.q = p ** k
-        monic = (self._digits(c) + [1] for c in range(self.q))
-        self.modpoly = next(f for f in monic if not self._has_small_factor(f))
-
-    def _has_small_factor(self, f):
-        return any(poly_divmod(f, self._digits(c, deg) + [1], self.p)[1] == [0]
-                   for deg in range(1, self.k // 2 + 1)
-                   for c in range(self.p ** deg))
-
-    def _digits(self, code, k=None):
-        k = self.k if k is None else k
-        return [code // self.p ** i % self.p for i in range(k)]
-
-    def _encode(self, digits):
-        return sum(d * self.p ** i for i, d in enumerate(digits))
-
-    def add(self, a, b):
-        da, db = self._digits(a), self._digits(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
-
-    def neg(self, a):
-        return self._encode([(-x) % self.p for x in self._digits(a)])
-
-    def mul(self, a, b):
-        f = poly_mul(self._digits(a), self._digits(b), self.p)
-        return self._encode(poly_divmod(f, self.modpoly, self.p)[1])
-
-    def inv(self, a):
-        """a^(q-2) = a^-1, by square-and-multiply: O(log q) products."""
-        if a == 0:
-            raise ZeroDivisionError("GF inverse of zero")
-        acc, k = 1, self.q - 2
-        while k:
-            if k & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return acc
+    q = p ** k
+    place = p ** np.arange(k)
+    digits = np.arange(q)[:, None] // place % p        # (code, coefficient)
+    add = (digits[:, None] + digits[None, :]) % p @ place
+    for c in digits:
+        # times t: t^i -> t^(i+1) for i < k - 1, and t^k = -c(t)
+        times_t = np.vstack((np.eye(k - 1, k, 1, dtype=int), -c))
+        powers = [digits]          # the digits of x*t^i, for every x
+        for _ in range(k - 1):
+            powers.append(powers[-1] @ times_t % p)
+        mul = np.einsum("yi,ixd->xyd", digits, np.stack(powers)) % p @ place
+        if (mul[1:, 1:] != 0).all():
+            return add, mul
 
 
 def _realize_psl2(q):
+    """PSL(2,q) on the projective line GF(q) u {inf}, generated by the
+    translations by t^i and x -> -1/x."""
     pp, k = prime_power(q)
-    F = _GF(pp, k)
+    add, mul = _gf_tables(pp, k)
     inf = q                       # projective point at infinity
-    def translation(c):
-        return tuple(F.add(x, c) if x != inf else inf for x in range(q + 1))
-    def inversion():
-        img = []
-        for x in range(q + 1):
-            if x == 0:
-                img.append(inf)
-            elif x == inf:
-                img.append(0)
-            else:
-                img.append(F.neg(F.inv(x)))
-        return tuple(img)
-    gens = [translation(pp ** i) for i in range(k)] + [inversion()]
+    gens = [tuple(add[:, pp ** i].tolist()) + (inf,) for i in range(k)]
+    # -1/x is the y with x*y = -1, and -1 has code p - 1
+    neg_inv = np.nonzero(mul == pp - 1)[1]
+    gens.append((inf, *neg_inv.tolist(), 0))
     return group_from_generators(q + 1, gens, label=f"PSL(2,{q})")
 
 
@@ -465,11 +436,11 @@ def realize_group(expr):
     if isinstance(expr, Product):
         tables = [realize_group(f) for f in expr.factors]
         cap = order_cap()
+        if prod(t.order for t in tables) > cap:     # before any table is made
+            raise ParameterOutOfRange(f"product order exceeds cap {cap}", 0)
         out = tables[0]
         for t in tables[1:]:
             out = direct_table_product(out, t)
-            if out.order > cap:
-                raise ParameterOutOfRange(f"product order exceeds cap {cap}", 0)
         out = dataclasses.replace(out, label=label)
         _contract(out.order == prod(t.order for t in tables),
                   "wrong product order", label)
@@ -491,9 +462,9 @@ def realize_group(expr):
         # built as an iterated table product so the direct-factor metadata
         # needed by direct-product arguments is available downstream
         p, k = args
-        G = realize_group(Named("C", (p,)))
+        G = C = realize_group(Named("C", (p,)))
         for _ in range(k - 1):
-            G = direct_table_product(G, realize_group(Named("C", (p,))))
+            G = direct_table_product(G, C)
         G = dataclasses.replace(G, label=label)
         _contract(G.order == p ** k and G.is_abelian()
                   and G.exponent() == p, "not elementary abelian", label)
@@ -574,8 +545,6 @@ def realize_group(expr):
         n, = args
         if n == 1:
             G = group_from_generators(1, [], label=label)
-        elif n == 2:
-            G = group_from_generators(2, [(1, 0)], label=label)
         else:
             G = group_from_generators(
                 n, [_cyc(n, (0, 1)), _cyc(n, tuple(range(n)))], label=label)

@@ -1,5 +1,9 @@
 """Finite groups as explicit multiplication tables, with subgroup primitives.
 
+Every table is built from the structure it comes from: a permutation group's
+from its permutations (`closure_of_permutations`), a direct product's from
+its factors' arrays (`direct_table_product`) and a subgroup's from its
+parent's (`make_subgroups`); none is scanned for inverses afterwards.
 Element 0 is always the identity. All types are immutable after construction,
 except for each table's cache of derived data (`GroupTable.memo`); every
 operation is a pure function of its inputs.
@@ -179,27 +183,6 @@ def _elem_orders(mul):
             return out
         powers = mul[powers, rng]
     raise ValueError("some element has no power equal to the identity")
-
-
-def table_from_mul(mul, label="G", words=None, direct_factors=None):
-    """Build a GroupTable from a raw multiplication table (identity = 0)."""
-    mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
-    n = mul.shape[0]
-    if mul.shape != (n, n):
-        raise ValueError("multiplication table must be square")
-    rng = np.arange(n, dtype=np.int32)
-    if not (mul[0] == rng).all() or not (mul[:, 0] == rng).all():
-        raise ValueError("element 0 is not a two-sided identity")
-    rows, inv = np.nonzero(mul == 0)
-    if rows.size != n or (rows != rng).any():
-        raise ValueError("table rows must be permutations")
-    inv = inv.astype(np.int32)
-    elem_order = _elem_orders(mul)
-    mul.setflags(write=False)
-    inv.setflags(write=False)
-    elem_order.setflags(write=False)
-    return GroupTable(order=n, mul=mul, inv=inv, elem_order=elem_order,
-                      label=label, words=words, direct_factors=direct_factors)
 
 
 def closure_of_permutations(degree, gens, label="G", cap=None):
@@ -743,31 +726,25 @@ def build_all_subgroups(G):
 
 
 def direct_table_product(A, B, label=None):
-    """External direct product of two tables, with flattened factor metadata."""
+    """External direct product of two tables, read from the factors' arrays.
+
+    Element (a, b) is a*|B| + b, so the identity is 0. Its product is
+    (ac, bd), its inverse (a^-1, b^-1) and its order lcm(|a|, |b|); the
+    direct factors of A and B, flattened, are the product's.
+    """
     na, nb = A.order, B.order
     n = na * nb
-    ia = np.arange(na, dtype=np.int64)
-    ib = np.arange(nb, dtype=np.int64)
-    # element (i, j) -> i * nb + j; identity (0, 0) -> 0
-    amul = A.mul.astype(np.int64)
-    bmul = B.mul.astype(np.int64)
-    mul = (np.kron(amul, np.ones((nb, nb), dtype=np.int64)) * nb
-           + np.kron(np.ones((na, na), dtype=np.int64), bmul))
+    mul = (A.mul[:, None, :, None] * nb + B.mul[None, :, None, :]).reshape(n, n)
+    inv = (A.inv[:, None] * nb + B.inv[None, :]).ravel()
+    elem_order = np.lcm.outer(A.elem_order, B.elem_order).ravel()
+    for a in (mul, inv, elem_order):
+        a.setflags(write=False)
     words = None
     if A.words is not None and B.words is not None:
-        words = tuple(
-            f"({A.words[i]},{B.words[j]})" for i in ia for j in ib
-        )
+        words = tuple(f"({a},{b})" for a in A.words for b in B.words)
     a_factors = A.direct_factors or ((tuple(range(na)),) if na > 1 else ())
     b_factors = B.direct_factors or ((tuple(range(nb)),) if nb > 1 else ())
-    factors = tuple(
-        tuple(int(i) * nb for i in f) for f in a_factors
-    ) + tuple(
-        tuple(int(j) for j in f) for f in b_factors
-    )
-    return table_from_mul(
-        mul.astype(np.int32),
-        label=label or f"{A.label} x {B.label}",
-        words=words,
-        direct_factors=factors or None,
-    )
+    factors = tuple(tuple(i * nb for i in f) for f in a_factors) + b_factors
+    return GroupTable(order=n, mul=mul, inv=inv, elem_order=elem_order,
+                      label=label or f"{A.label} x {B.label}", words=words,
+                      direct_factors=factors or None)

@@ -1,4 +1,6 @@
 """Group-expression parsing, printing, and family realizations."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from charposet.catalog import (
     SEMIDIRECT_C4_C4,
     Named,
     Product,
-    _GF,
     _cyc,
+    _gf_tables,
     catalog_roster,
     cycles_string,
     format_expr,
@@ -23,7 +25,8 @@ from charposet.errors import (
     ParameterOutOfRange,
     UnknownConstructor,
 )
-from charposet.group import center, group_from_generators
+from charposet.group import center, group_from_generators, prime_power
+from charposet.modlinalg import poly_divmod, poly_mul
 from util import cached_group, catalog_up_to
 
 
@@ -383,12 +386,77 @@ def test_linear_groups():
     (2, 4, [1, 1, 0, 0, 1]), (3, 3, [1, 2, 0, 1]), (5, 2, [2, 0, 1]),
 ])
 def test_gf_modulus_and_inverses(p, k, modpoly):
-    # the modulus fixes the element numbering of PSL(2, p^k): pinned
-    F = _GF(p, k)
-    assert F.modpoly == modpoly
-    for a in range(1, F.q):
-        assert F.mul(a, F.inv(a)) == 1
-        assert F.mul(a, 1) == a and F.add(a, F.neg(a)) == 0
+    # the modulus fixes the element numbering of PSL(2, p^k): pinned. t has
+    # code p, and t^k = -c(t) for the modulus t^k + c(t)
+    add, mul = _gf_tables(p, k)
+    tk = 1
+    for _ in range(k):
+        tk = mul[tk, p]
+    assert modpoly[-1] == 1
+    assert tk == sum((-c) % p * p ** i for i, c in enumerate(modpoly[:-1]))
+    for a in range(1, p ** k):
+        assert (mul[a] == 1).sum() == 1 and mul[a, 1] == a
+        assert (add[a] == 0).sum() == 1 and add[a, 0] == a
+
+
+_PRIME_POWERS_TO_64 = [q for q in range(2, 65) if prime_power(q)]
+
+
+def _gf_oracle_mul(p, k):
+    """GF(p^k)'s products by polynomial arithmetic, modulo the first monic
+    t^k + c(t), c in code order, with no monic factor of degree <= k/2."""
+    def digits(code, n):
+        return [code // p ** i % p for i in range(n)]
+
+    def has_small_factor(f):
+        return any(poly_divmod(f, digits(c, deg) + [1], p)[1] == [0]
+                   for deg in range(1, k // 2 + 1) for c in range(p ** deg))
+
+    modpoly = next(f for f in (digits(c, k) + [1] for c in range(p ** k))
+                   if not has_small_factor(f))
+    q = p ** k
+    return [[sum(d * p ** i for i, d in enumerate(poly_divmod(
+        poly_mul(digits(a, k), digits(b, k), p), modpoly, p)[1]))
+        for b in range(q)] for a in range(q)]
+
+
+@pytest.mark.parametrize("q", _PRIME_POWERS_TO_64)
+def test_gf_tables_are_the_field(q):
+    p, k = prime_power(q)
+    add, mul = _gf_tables(p, k)
+    codes = np.arange(q)
+    a, b, c = np.meshgrid(codes, codes, codes, indexing="ij")
+    for op in (add, mul):
+        assert op.shape == (q, q) and (op == op.T).all()
+        assert (op[op[a, b], c] == op[a, op[b, c]]).all()
+    assert (add[0] == codes).all() and (mul[1] == codes).all()
+    assert (np.sort(add, axis=1) == codes).all()        # every -a exists
+    assert (np.sort(mul[1:, 1:], axis=1) == codes[1:]).all()   # every 1/a
+    assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
+    # the element numbering: digit-wise sums, products by the oracle
+    digits = codes[:, None] // p ** np.arange(k) % p
+    assert (add == (digits[:, None] + digits[None, :]) % p
+            @ p ** np.arange(k)).all()
+    assert mul.tolist() == _gf_oracle_mul(p, k)
+
+
+@pytest.mark.parametrize("q, digest", [
+    (4, "22aa145d312ac1c5cfe509121083af0e1b1d2266"),
+    (9, "4ea59a8b8dbc5dbdda83e07cf6058c073dedf71a"),
+    (16, "21ec8141a731378b842f04e58bceacf8fd0a13e5"),
+])
+def test_psl2_over_extension_fields_is_numbered_as_pinned(monkeypatch, q,
+                                                           digest):
+    # pinned from the polynomial-arithmetic field these tables replaced
+    monkeypatch.setenv("CHARPOSET_ORDER_CAP", "4080")
+    G = realize(f"PSL(2,{q})")
+    table = np.ascontiguousarray(G.mul, dtype="<i4")
+    assert hashlib.sha1(table).hexdigest() == digest
+
+
+def test_sym_two_is_closed_from_the_general_generators():
+    G = realize("S(2)")
+    assert G.mul.tolist() == [[0, 1], [1, 0]] and G.words == ("e", "a")
 
 
 def test_perm_and_semidirect_constructors():

@@ -108,6 +108,17 @@ def test_overlong_number_literal_exit_two(capsys):
     assert code == 0 and "components: 2" in text
 
 
+@pytest.mark.parametrize("expr", ["C(1000) x C(1000)", "C(1000) x C(30)",
+                                  "C(2) x C(1000) x C(1)"])
+def test_product_past_the_cap_exit_two(capsys, expr):
+    # each factor is within the cap; the product's order is checked before
+    # its table is allocated (C(1000) x C(1000) would need 7.28 TiB)
+    code, text = _run(["components", "--p", "2", expr])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        "error: product order exceeds cap 1024 (at offset 0)\n"
+
+
 def test_huge_perm_degree_is_not_allocated(capsys):
     # only the points the generators move are closed, relabelled 0..k-1; a
     # list of 10^12 images would not fit in memory

@@ -44,7 +44,6 @@ from charposet.group import (
     p_valuation,
     prime_power,
     subgroup_closure,
-    table_from_mul,
     whole_group_subgroup,
 )
 from util import (
@@ -61,11 +60,13 @@ from util import (
     fixed_point_closure_members,
     intersection_of_level,
     iterated_elem_orders,
+    kron_direct_product,
     levelled_p_subgroups,
     looped_overgroups,
     looped_right_transversal,
     scanned_inverses,
     scanned_p_lattice,
+    table_from_mul,
     validate_group_table,
 )
 
@@ -465,6 +466,34 @@ def test_direct_product_metadata():
         make_subgroup(G, mem)
 
 
+_PRODUCTS = tuple(t for t in DIFFERENTIAL_GROUPS if " x " in t) + (
+    "E(2,5)", "E(3,3)", "D(4) x D(4)", "C(6) x S(3)", "Q(8) x C(2) x C(3)")
+
+
+@pytest.mark.parametrize("text", _PRODUCTS)
+def test_direct_product_matches_kron_oracle(text):
+    # E(p,k) and A x B x C are realized as iterated products: each step is
+    # checked against the Kronecker-product table and its |G|^2 scans
+    if text.startswith("E("):
+        p, k = map(int, text[2:-1].split(","))
+        factors = [cached_group(f"C({p})")] * k
+    else:
+        factors = [cached_group(f) for f in text.split(" x ")]
+    G = oracle = factors[0]
+    for B in factors[1:]:
+        G, oracle = direct_table_product(G, B), kron_direct_product(oracle, B)
+        for name in ("mul", "inv", "elem_order"):
+            got, want = getattr(G, name), getattr(oracle, name)
+            assert got.dtype == want.dtype and (got == want).all()
+            assert not got.flags.writeable
+        assert G.words == oracle.words
+        assert G.direct_factors == oracle.direct_factors
+    realized = realize(text)
+    assert (realized.mul == G.mul).all() and realized.words == G.words
+    assert realized.direct_factors == G.direct_factors
+    _assert_inverses_and_orders_match_oracles(realized)
+
+
 def test_omega1_requires_p_group():
     G = cached_group("S(3)")
     with pytest.raises(NotAPGroup):
@@ -530,19 +559,11 @@ def test_generator_fill_matches_composition_oracle(monkeypatch, text):
     _assert_inverses_and_orders_match_oracles(G)
 
 
-def _refuse_table_from_mul(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a permutation closure went through "
-                             "table_from_mul")
-
-    monkeypatch.setattr(group_module, "table_from_mul", refuse)
-
-
 def test_frontier_group_realizes_from_its_permutations(monkeypatch):
     # PSL(2,23): the row fill and the inverted permutations give a table
     # the |G|^2 scans agree with, and no raw-table scan runs
     monkeypatch.setenv("CHARPOSET_ORDER_CAP", "6072")
-    _refuse_table_from_mul(monkeypatch)
+    assert not hasattr(group_module, "table_from_mul")
     G = realize("PSL(2,23)")
     assert G.order == 6072
     # pinned: any change to the numbering or to one product shows here
@@ -558,9 +579,9 @@ def test_frontier_group_realizes_from_its_permutations(monkeypatch):
     "perm[6: (1 2 3 4 5 6), (1 2)]", "S(4)", "PSL(2,7)",
     "sd[8: (1 2 3 4), (2 4)(5 6 7 8); (1 2 3 4); (2 4)(5 6 7 8)]",
 ])
-def test_permutation_closure_never_calls_table_from_mul(monkeypatch, text):
+def test_permutation_closure_never_calls_table_from_mul(text):
     expected = cached_group(text)
-    _refuse_table_from_mul(monkeypatch)
+    assert not hasattr(group_module, "table_from_mul")
     G = realize(text)
     assert np.array_equal(G.mul, expected.mul)
 

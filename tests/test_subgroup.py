@@ -115,15 +115,11 @@ def test_make_subgroup_accepts_exactly_the_closed_subsets(text, data):
             make_subgroup(G, subset)
 
 
-def test_no_subgroup_table_goes_through_table_from_mul(monkeypatch):
+def test_no_subgroup_table_goes_through_table_from_mul():
     A6 = realize("A(6)")
     DD = realize("D(4) x D(4)")
     expected = gamma_poset(cached_group("D(4) x D(4)"), 2, 0).partition.count
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a subgroup table went through table_from_mul")
-
-    monkeypatch.setattr(group_module, "table_from_mul", refuse)
+    assert not hasattr(group_module, "table_from_mul")
     assert verify(A6, 2, 0, "ThmA").status == "pass"
     assert gamma_poset(DD, 2, 0).partition.count == expected
 

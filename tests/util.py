@@ -32,6 +32,7 @@ from charposet.group import (
     GroupTable,
     PSubgroupLattice,
     Subgroup,
+    _elem_orders,
     _index_p_overgroups,
     _normalizer_mask,
     _pth_powers,
@@ -42,7 +43,6 @@ from charposet.group import (
     normalizer,
     p_lattice,
     p_valuation,
-    table_from_mul,
 )
 from charposet.modlinalg import (
     inv_mod,
@@ -541,6 +541,51 @@ def iterated_elem_orders(mul):
             k += 1
         out[x] = k
     return out
+
+
+def table_from_mul(mul, label="G", words=None, direct_factors=None):
+    """A GroupTable from a raw multiplication table (identity = 0) alone.
+
+    The identity and the rows are checked, and the inverses and element
+    orders are derived by scanning the |G|^2 table.
+    """
+    mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
+    n = mul.shape[0]
+    if mul.shape != (n, n):
+        raise ValueError("multiplication table must be square")
+    rng = np.arange(n, dtype=np.int32)
+    if not (mul[0] == rng).all() or not (mul[:, 0] == rng).all():
+        raise ValueError("element 0 is not a two-sided identity")
+    rows, inv = np.nonzero(mul == 0)
+    if rows.size != n or (rows != rng).any():
+        raise ValueError("table rows must be permutations")
+    inv = inv.astype(np.int32)
+    elem_order = _elem_orders(mul)
+    for a in (mul, inv, elem_order):
+        a.setflags(write=False)
+    return GroupTable(order=n, mul=mul, inv=inv, elem_order=elem_order,
+                      label=label, words=words, direct_factors=direct_factors)
+
+
+def kron_direct_product(A, B):
+    """A x B from its Kronecker-product table, (a, b) -> a*|B| + b, by
+    `table_from_mul`, with the words and flattened factors of A and B."""
+    na, nb = A.order, B.order
+    amul = A.mul.astype(np.int64)
+    bmul = B.mul.astype(np.int64)
+    mul = (np.kron(amul, np.ones((nb, nb), dtype=np.int64)) * nb
+           + np.kron(np.ones((na, na), dtype=np.int64), bmul))
+    words = None
+    if A.words is not None and B.words is not None:
+        words = tuple(f"({A.words[i]},{B.words[j]})"
+                      for i in range(na) for j in range(nb))
+    a_factors = A.direct_factors or ((tuple(range(na)),) if na > 1 else ())
+    b_factors = B.direct_factors or ((tuple(range(nb)),) if nb > 1 else ())
+    factors = tuple(tuple(int(i) * nb for i in f) for f in a_factors) + \
+        tuple(tuple(int(j) for j in f) for f in b_factors)
+    return table_from_mul(mul.astype(np.int32),
+                          label=f"{A.label} x {B.label}", words=words,
+                          direct_factors=factors or None)
 
 
 def induced_table(G, members):
