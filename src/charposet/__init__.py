@@ -31,7 +31,6 @@ from .chartab import (
 from .errors import CharposetError
 from .gamma import (
     GammaPoset,
-    SPoset,
     VerificationReport,
     build_gamma_poset,
     build_s_poset,
@@ -60,7 +59,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CharContext", "CharTable", "Character", "CharposetError", "GammaPoset",
-    "GroupTable", "Partition", "SPoset", "Subgroup", "VerificationReport",
+    "GroupTable", "Partition", "Subgroup", "VerificationReport",
     "action_on_components", "all_subgroups", "build_gamma_poset",
     "build_s_poset", "catalog_roster", "common_intersection_of_order",
     "components", "conjugacy_classes", "cycles_string",

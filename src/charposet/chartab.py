@@ -454,10 +454,10 @@ class CharContext:
 
 def restrict_values(ctx, K, psi, H):
     """psi|_H as a class-function vector over H's classes (mod ctx.q)."""
-    if not H.member_set <= K.member_set:
-        raise NotASubgroup("H is not contained in K")
     tK = ctx.table(K)
     tH = ctx.table(H)
+    if (H.mask & ~K.mask).any():
+        raise NotASubgroup("H is not contained in K")
     reps = np.array(H.members)[list(tH.classes.reps)]
     fusion = tK.classes.class_of[np.searchsorted(K.members, reps)]
     return np.asarray(psi.values, dtype=np.int64)[fusion]

@@ -21,6 +21,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .gamma import (
+    _CLAIMS,
     CLAIM_IDS,
     CSV_COLUMNS,
     char_context,
@@ -31,18 +32,7 @@ from .gamma import (
 )
 from .group import is_p_power, is_prime, order_cap, p_valuation
 
-_THEOREM_FLAGS = {
-    "A": "ThmA", "B": "ThmB", "C": "ThmC",
-    "L2.3": "L2.3", "L4.1": "L4.1", "L4.2": "L4.2", "L4.3": "L4.3",
-    "L4.4": "L4.4", "L4.6": "L4.6", "Cor2.2": "Cor2.2",
-}
-
-# the e values each claim is verified at in a catalog sweep
-_CLAIM_ES = {
-    "ThmA": (0, 1), "ThmB": (0,), "ThmC": (1,), "L2.3": (0, 1),
-    "L4.1": (0,), "L4.2": (1,), "L4.3": (1,), "L4.4": (1,), "L4.6": (1,),
-    "Cor2.2": (0, 1),
-}
+_THEOREM_FLAGS = {c.removeprefix("Thm"): c for c in CLAIM_IDS}
 
 
 def _build_parser():
@@ -137,24 +127,22 @@ def _cmd_irr(args, out):
 
 def _cmd_psubgroups(args, out):
     G = realize(args.expr)
-    spos = s_poset(G, args.p, args.e)
-    lat = spos.lattice
+    lat = s_poset(G, args.p, args.e)
     print(f"group: {G.label}  p: {args.p}  e: {args.e}", file=out)
     print(f"nodes: {lat.node_count}  covers: {len(lat.covers)}  "
           f"sylow nodes: {list(lat.sylow_ids)}", file=out)
     rows = [[i, sub.order, " ".join(str(m) for m in sub.members)]
             for i, sub in enumerate(lat.nodes)]
     print(_table(rows, ["node", "order", "members"]), file=out)
-    print(f"components: {spos.partition.count}", file=out)
+    print(f"components: {lat.partition.count}", file=out)
     return 0
 
 
 def _cmd_components(args, out):
     G = realize(args.expr)
     if args.poset == "s":
-        spos = s_poset(G, args.p, args.e)
-        part = spos.lattice.node_count, len(spos.lattice.covers), \
-            spos.partition
+        lat = s_poset(G, args.p, args.e)
+        part = lat.node_count, len(lat.covers), lat.partition
     else:
         gam = gamma_poset(G, args.p, args.e)
         part = gam.node_count, len(gam.edges), gam.partition
@@ -221,8 +209,8 @@ def _cmd_catalog_run(args, out):
     reports = []
     for G in _catalog_groups(sorted(catalog_roster()), args.max_order):
         for p in (2, 3):
-            for claim in CLAIM_IDS:
-                for e in _CLAIM_ES[claim]:
+            for claim, (_, es) in _CLAIMS.items():
+                for e in es:
                     reports.append(verify(G, p, e, claim))
     reports.sort(key=lambda r: (r.group, r.p, r.e, r.claim))
     failures = sum(1 for r in reports if r.status == "fail")

@@ -1,17 +1,18 @@
 """Character-augmented p-subgroup posets and claim verification.
 
-S(p, e) is the inclusion poset of p-subgroups of order > p^e. Gamma(p, e)
-augments each subgroup H with its irreducible characters; (H, phi) <= (K,
-psi) when H <= K and phi occurs in the restriction of psi to H. Components
-of both posets are computed over index-p cover edges, which induce the same
-partition as the full comparability relation (every inclusion refines into
-index-p steps through intermediate subgroups of admissible order).
+S(p, e) is the inclusion poset of p-subgroups of order > p^e, a
+`PSubgroupLattice`. Gamma(p, e) augments each subgroup H with its irreducible
+characters; (H, phi) <= (K, psi) when H <= K and phi occurs in the
+restriction of psi to H. A `GammaPoset` numbers its nodes by subgroup, then
+character, and keeps its edges as one int array. Components of both posets
+are computed over index-p cover edges, which induce the same partition as the
+full comparability relation (every inclusion refines into index-p steps
+through intermediate subgroups of admissible order).
 """
 from __future__ import annotations
 
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -33,7 +34,7 @@ from .errors import (
     TableConstructionFailed,
 )
 from .group import (
-    GroupTable,
+    PSubgroupLattice,
     center,
     closure_members,
     common_intersection_of_order,
@@ -66,21 +67,11 @@ def char_context(G):
 
 # --- S_{p,e}(G) -----------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SPoset:
-    """The poset of p-subgroups of order > p^e with its component partition."""
-
-    group: GroupTable
-    p: int
-    e: int
-    lattice: object        # PSubgroupLattice
-    partition: Partition
-
-
 def build_s_poset(G, p, e):
-    lattice = enumerate_p_subgroups(G, p, e)
-    part = components(lattice.node_count, lattice.covers)
-    return SPoset(G, p, e, lattice, part)
+    """S_{p,e}(G) as its PSubgroupLattice, with the partition computed."""
+    lat = enumerate_p_subgroups(G, p, e)
+    lat.partition               # found here, not at its first read
+    return lat
 
 
 def s_poset(G, p, e):
@@ -102,7 +93,7 @@ def _generating_set(G):
     return gens
 
 
-def s_node_images(spos):
+def s_node_images(lat):
     """img[k, i] = lattice node id of (node i)^g = g^-1 (node i) g, for the
     k-th element g of _generating_set(G).
 
@@ -112,8 +103,7 @@ def s_node_images(spos):
     oracle, not used by the library; it stays in src/ because the
     benchmark's tracer wraps it by name.
     """
-    G = spos.group
-    lat = spos.lattice
+    G = lat.group
     levels = [np.array([s.members for s in level])
               for _, level in groupby(lat.nodes, key=lambda s: s.order)]
     gens = _generating_set(G)
@@ -124,27 +114,22 @@ def s_node_images(spos):
 
 # --- Gamma_{p,e}(G) -------------------------------------------------------
 
-@dataclass(frozen=True)
-class GammaNode:
-    subgroup_id: int
-    char_id: int
-
-
 @dataclass(frozen=True, eq=False)
 class GammaPoset:
-    group: GroupTable
-    p: int
-    e: int
-    s: SPoset
-    ctx: CharContext
-    nodes: tuple           # GammaNode, grouped by subgroup in char order
-    offsets: tuple         # offsets[i] = first node index of subgroup i
-    edges: tuple
+    """Gamma_{p,e}(G): node offsets[i] + a is (S node i, character a).
+
+    offsets (one entry per S node, then the node count) and edges, an
+    (edges, 2) array of node pairs, are read-only int64 arrays.
+    """
+
+    s: PSubgroupLattice
+    offsets: np.ndarray
+    edges: np.ndarray
     partition: Partition
 
     @property
     def node_count(self):
-        return len(self.nodes)
+        return int(self.offsets[-1])
 
 
 def restriction_multiplicities(tH, tK, fusion):
@@ -188,7 +173,8 @@ def _cover_keys(G, lat, tables, g):
     class) to the longest R_H. Returns (keys, key_of): the distinct rows,
     sorted, and each cover's row index.
     """
-    pos = {r: k for k, r in enumerate(tables)}
+    pos = np.zeros(lat.node_count, dtype=np.int64)    # row of r's table
+    pos[list(tables)] = np.arange(len(tables))
     width = max(t.classes.count for t in tables.values())
     # class_in[pos[r], y] = R's class of the element y of G, -1 outside R
     class_in = np.full((len(tables), G.order), -1, dtype=np.int32)
@@ -197,8 +183,8 @@ def _cover_keys(G, lat, tables, g):
         mem = np.array(lat.nodes[r].members)
         class_in[pos[r], mem] = t.classes.class_of
         reps[pos[r], :t.classes.count] = mem[list(t.classes.reps)]
-    rep = np.array([pos[r] for r, _ in lat.conjugates], dtype=np.int64)
-    i, j = np.array(lat.covers, dtype=np.int64).reshape(-1, 2).T
+    rep = pos[lat.conjugates[:, 0]]
+    i, j = lat.covers.T
     h = G.mul[g[i], G.inv[g[j]]]
     fusion = class_in[rep[j, None], G.conj_set(reps[rep[i]], h[:, None])]
     if (fusion < 0).any():
@@ -236,16 +222,14 @@ def build_gamma_poset(G, p, e):
     edges of every cover with that key. The edges are listed in the order
     of lattice.covers (by upper node, then lower node), row-major in each.
     """
-    spos = s_poset(G, p, e)
-    lat = spos.lattice
+    lat = s_poset(G, p, e)
     ctx = char_context(G)
+    rep, g = lat.conjugates[:, 0].tolist(), lat.conjugates[:, 1]
     by_rep = {}
-    for i, (r, _) in enumerate(lat.conjugates):
+    for i, r in enumerate(rep):
         by_rep.setdefault(r, []).append(i)
     tables = {r: ctx.table(lat.nodes[r]) for r in by_rep}
-    counts = [tables[r].count for r, _ in lat.conjugates]
-    offsets = np.cumsum([0] + counts, dtype=np.int64)
-    g = np.array([h for _, h in lat.conjugates], dtype=np.int64)
+    offsets = np.cumsum([0] + [tables[r].count for r in rep])
     # slot[offsets[i] + a] = the node of Gamma that R's row a is at node i
     slot = np.arange(offsets[-1], dtype=np.int64)
     for r, (_, *ids) in by_rep.items():
@@ -257,7 +241,7 @@ def build_gamma_poset(G, p, e):
             slot[first + pi] = first + np.arange(pi.shape[1])
 
     pairs = np.empty((0, 2), dtype=np.int64)
-    if lat.covers:
+    if len(lat.covers):
         keys, key_of = _cover_keys(G, lat, tables, g)
         nonzero = []
         for rH, rK, *f in keys.tolist():
@@ -272,17 +256,14 @@ def build_gamma_poset(G, p, e):
         # edge t of cover c is entry start[key_of[c]] + t of a and b
         entry = np.arange(cover.size) + np.repeat(
             start[key_of] - (np.cumsum(per_cover) - per_cover), per_cover)
-        i, j = np.array(lat.covers, dtype=np.int64)[cover].T
+        i, j = lat.covers[cover].T
         src = slot[offsets[i] + a[entry]]
         tgt = slot[offsets[j] + b[entry]]
         order = np.lexsort((tgt, src, cover))
         pairs = np.column_stack((src[order], tgt[order]))
-    edges = tuple(zip(*pairs.T.tolist()))
-    nodes = tuple(GammaNode(i, a) for i, n in enumerate(counts)
-                  for a in range(n))
-    part = components(len(nodes), pairs)
-    return GammaPoset(G, p, e, spos, ctx, nodes, tuple(offsets[:-1].tolist()),
-                      edges, part)
+    for a in (offsets, pairs):
+        a.setflags(write=False)
+    return GammaPoset(lat, offsets, pairs, components(offsets[-1], pairs))
 
 
 def gamma_poset(G, p, e):
@@ -292,15 +273,14 @@ def gamma_poset(G, p, e):
 
 def x_of_sylow(gamma, sylow_node):
     """|pi_0 X(P)|: Gamma components over subgroups S-connected to P."""
-    if sylow_node not in gamma.s.lattice.sylow_ids:
+    if sylow_node not in gamma.s.sylow_ids:
         raise NotASylowNode(f"node {sylow_node} is not a Sylow node")
-    scomp = gamma.s.partition.component_of[sylow_node]
-    seen = {
-        gamma.partition.component_of[n]
-        for n, node in enumerate(gamma.nodes)
-        if gamma.s.partition.component_of[node.subgroup_id] == scomp
-    }
-    return len(seen)
+    s_of = gamma.s.partition.component_of
+    # subgroup[n] = the S node of Gamma node n
+    subgroup = np.repeat(np.arange(gamma.s.node_count), np.diff(gamma.offsets))
+    inside = s_of[subgroup] == s_of[sylow_node]
+    seen = np.bincount(gamma.partition.component_of[inside])
+    return int(np.count_nonzero(seen))
 
 
 # --- strongly embedded subgroups ------------------------------------------
@@ -354,7 +334,7 @@ def has_strongly_embedded_subgroup(G, p, e):
     """
     if p_valuation(G.order, p) <= e:
         return False
-    lat = s_poset(G, p, e).lattice
+    lat = s_poset(G, p, e)
     N = normalizer(G, lat.nodes[lat.sylow_ids[0]])
     seen = {N.members}
     queue = [N.members]
@@ -450,7 +430,7 @@ def _claim_thm_a(G, p, e):
     _require_pe1_divides(G, p, e)
     spos = s_poset(G, p, e)
     gam = gamma_poset(G, p, e)
-    sylow_ids = spos.lattice.sylow_ids
+    sylow_ids = spos.sylow_ids
     x = x_of_sylow(gam, sylow_ids[0])
     s = spos.partition.count
     n_gamma = gam.partition.count
@@ -465,11 +445,10 @@ def _claim_thm_a(G, p, e):
     return observed, expected
 
 
-def _count_order_p_subgroups_of_sylow(spos, p):
-    lat = spos.lattice
+def _count_order_p_subgroups_of_sylow(lat, p):
     P = lat.nodes[lat.sylow_ids[0]]
     return sum(1 for sub in lat.nodes
-               if sub.order == p and sub.member_set <= P.member_set)
+               if sub.order == p and not (sub.mask & ~P.mask).any())
 
 
 def _claim_thm_b(G, p, e):
@@ -483,7 +462,7 @@ def _claim_thm_b(G, p, e):
     observed = {"disconnected": n_gamma > 1}
     expected = {"disconnected": unique or embedded}
     if unique:
-        P = spos.lattice.nodes[spos.lattice.sylow_ids[0]]
+        P = spos.nodes[spos.sylow_ids[0]]
         om = omega1(P, p)
         index = G.order // normalizer(G, om).order
         observed["components"] = n_gamma
@@ -518,17 +497,17 @@ def _cyclic_or_cp_cp(G, p):
 def _claim_l4_1(G, p, e):
     _require(is_p_power(G.order, p) and G.order > 1,
              "G must be a nontrivial p-group")
-    lat = s_poset(G, p, 0).lattice
+    lat = s_poset(G, p, 0)
     Z = center(G)
     normal_orders = {1, G.order}
     central_ok = True
     # a node is normal exactly when it is alone in its conjugacy class
-    class_size = Counter(r for r, _ in lat.conjugates)
-    for sub, (r, _) in zip(lat.nodes, lat.conjugates):
-        if class_size[r] == 1:
+    rep = lat.conjugates[:, 0]
+    alone = np.bincount(rep, minlength=lat.node_count)[rep] == 1
+    for sub, normal in zip(lat.nodes, alone.tolist()):
+        if normal:
             normal_orders.add(sub.order)
-            if sub.order < G.order and \
-                    len(sub.member_set & Z.member_set) == 1:
+            if sub.order < G.order and (sub.mask & Z.mask).sum() == 1:
                 central_ok = False
     n = p_valuation(G.order, p)
     orders_ok = normal_orders == {p ** i for i in range(n + 1)}
@@ -608,17 +587,18 @@ def _claim_cor2_2(G, p, e):
     return observed, expected
 
 
+# claim -> (check, the e values a catalog sweep verifies it at)
 _CLAIMS = {
-    "ThmA": _claim_thm_a,
-    "ThmB": _claim_thm_b,
-    "ThmC": _claim_thm_c,
-    "L2.3": _claim_l2_3,
-    "L4.1": _claim_l4_1,
-    "L4.2": _claim_l4_2,
-    "L4.3": _claim_l4_3,
-    "L4.4": _claim_l4_4,
-    "L4.6": _claim_l4_6,
-    "Cor2.2": _claim_cor2_2,
+    "ThmA": (_claim_thm_a, (0, 1)),
+    "ThmB": (_claim_thm_b, (0,)),
+    "ThmC": (_claim_thm_c, (1,)),
+    "L2.3": (_claim_l2_3, (0, 1)),
+    "L4.1": (_claim_l4_1, (0,)),
+    "L4.2": (_claim_l4_2, (1,)),
+    "L4.3": (_claim_l4_3, (1,)),
+    "L4.4": (_claim_l4_4, (1,)),
+    "L4.6": (_claim_l4_6, (1,)),
+    "Cor2.2": (_claim_cor2_2, (0, 1)),
 }
 
 CLAIM_IDS = tuple(_CLAIMS)
@@ -632,7 +612,7 @@ def verify(G, p, e, claim):
         raise PreconditionViolated(f"p = {p} is not prime")
     start = time.perf_counter()
     try:
-        observed, expected = _CLAIMS[claim](G, p, e)
+        observed, expected = _CLAIMS[claim][0](G, p, e)
         status = "pass" if observed == expected else "fail"
     except HypothesisNotSatisfied as exc:
         observed, expected = {"reason": str(exc)}, {}

@@ -4,8 +4,11 @@ Every table is built from the structure it comes from: a permutation group's
 from its permutations (`closure_of_permutations`), a direct product's from
 its factors' arrays (`direct_table_product`) and a subgroup's from its
 parent's (`make_subgroups`); none is scanned for inverses afterwards.
-Element 0 is always the identity. All types are immutable after construction,
-except for each table's cache of derived data (`GroupTable.memo`); every
+A subgroup is its member tuple and membership mask. The poset S_{p,e}(G) is
+one `PSubgroupLattice`, which keeps its covers, classes and components as the
+int arrays they are computed as. Element 0 is always the identity. All types
+are immutable after construction, except for each table's cache of derived
+data (`GroupTable.memo`) and each lattice's cached properties; every
 operation is a pure function of its inputs.
 """
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import (
     NotASubgroup,
     PreconditionViolated,
 )
+from .poset import components
 
 DEFAULT_ORDER_CAP = 1024
 
@@ -289,7 +293,6 @@ class Subgroup:
     parent: GroupTable
     members: tuple
     local: GroupTable
-    member_set: frozenset
     mask: np.ndarray
 
     @property
@@ -343,12 +346,8 @@ def make_subgroups(G, rows):
         tables = {i: GroupTable(m, mul[i], inv[i], orders[i], label=label)
                   for i in first.values()}
         locals_ = [tables[i] for i in row_of]
-    out = []
-    for members, local, mask in zip(rows.tolist(), locals_, masks):
-        members = tuple(members)
-        out.append(Subgroup(parent=G, members=members, local=local,
-                            member_set=frozenset(members), mask=mask))
-    return out
+    return [Subgroup(parent=G, members=tuple(members), local=local, mask=mask)
+            for members, local, mask in zip(rows.tolist(), locals_, masks)]
 
 
 def make_subgroup(G, members):
@@ -433,7 +432,7 @@ def validate_semidirect(G, H, K):
         raise NotASemidirectDecomposition("parts belong to a different group")
     if H.order * K.order != G.order:
         raise NotASemidirectDecomposition("|H||K| != |G|")
-    if H.member_set & K.member_set != {0}:
+    if (H.mask & K.mask).sum() != 1:
         raise NotASemidirectDecomposition("parts intersect nontrivially")
     if not _normalizer_mask(G, H.members, H.mask).all():
         raise NotASemidirectDecomposition("H is not normal in G")
@@ -457,38 +456,57 @@ def omega1(P, p):
         raise NotAPGroup(f"|P| = {P.order} is not a power of {p}")
     gens = [m for m in P.members if int(G.elem_order[m]) in (1, p)]
     sub = make_subgroup(G, closure_members(G, gens))
-    if not P.member_set >= sub.member_set:
+    if (sub.mask & ~P.mask).any():
         raise NotASubgroup("omega1 escaped P; P is not closed")
     return sub
 
 
 @dataclass(frozen=True, eq=False)
 class PSubgroupLattice:
-    """All p-subgroups of order > p^e, their index-p covers and G-classes.
+    """S_{p,e}(G): the p-subgroups of order > p^e, with their index-p covers,
+    G-classes and connected components.
 
-    conjugates[i] = (r, g): nodes[r]^g = nodes[i], r least in i's class.
+    covers and conjugates are read-only int64 arrays: a row (i, j) of covers
+    has nodes[i] maximal in nodes[j], and conjugates[i] = (r, g) has
+    nodes[r]^g = nodes[i], r least in i's class.
     """
 
     group: GroupTable
     p: int
     e: int
     nodes: tuple
-    covers: tuple          # (i, j) with nodes[i] maximal in nodes[j]
+    covers: np.ndarray     # (covers, 2)
     sylow_ids: tuple
-    node_index: dict       # member tuple -> node id
-    conjugates: tuple      # node id -> (class representative id, g)
+    conjugates: np.ndarray  # (nodes, 2)
 
     @property
     def node_count(self):
         return len(self.nodes)
 
     @cached_property
+    def node_index(self):
+        """Member tuple -> node id."""
+        return {s.members: i for i, s in enumerate(self.nodes)}
+
+    @cached_property
     def lower(self):
         """lower[j] = ids of the nodes that node j covers, ascending."""
         below = [[] for _ in self.nodes]
-        for i, j in self.covers:
+        for i, j in self.covers.tolist():
             below[j].append(i)
         return tuple(tuple(sorted(b)) for b in below)
+
+    @cached_property
+    def partition(self):
+        """The connected components of S_{p,e} over its cover edges."""
+        return components(self.node_count, self.covers)
+
+
+def _int_rows(rows):
+    """rows as a read-only (len(rows), 2) int64 array."""
+    out = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    out.setflags(write=False)
+    return out
 
 
 def _right_transversal(G, nmask):
@@ -606,11 +624,10 @@ def _build_p_lattice(G, p):
             "the Sylow p-subgroups are not one conjugacy class")
     return PSubgroupLattice(
         group=G, p=p, e=0, nodes=nodes,
-        covers=tuple((i, j) for j, i in covers),
+        covers=_int_rows([(i, j) for j, i in covers]),
         sylow_ids=tuple(i for i, s in enumerate(nodes) if s.order == sylow),
-        node_index=node_index,
-        conjugates=tuple((node_index[classes[m][0]], classes[m][1])
-                         for m in members))
+        conjugates=_int_rows([(node_index[classes[m][0]], classes[m][1])
+                              for m in members]))
 
 
 def p_lattice(G, p):
@@ -634,20 +651,18 @@ def enumerate_p_subgroups(G, p, e=0):
         return lat
     start = bisect_right(lat.nodes, e,
                          key=lambda s: p_valuation(s.order, p))
-    nodes = lat.nodes[start:]
+    # a class lies in one level, so each representative is in the suffix
     return PSubgroupLattice(
-        group=G, p=p, e=e, nodes=nodes,
-        covers=tuple((i - start, j - start) for i, j in lat.covers
-                     if i >= start),
+        group=G, p=p, e=e, nodes=lat.nodes[start:],
+        covers=_int_rows(lat.covers[lat.covers[:, 0] >= start] - start),
         sylow_ids=tuple(i - start for i in lat.sylow_ids if i >= start),
-        node_index={s.members: i for i, s in enumerate(nodes)},
-        conjugates=tuple((r - start, g) for r, g in lat.conjugates[start:]))
+        conjugates=_int_rows(lat.conjugates[start:] - [start, 0]))
 
 
 def _intersection(subgroups):
     """Sorted member tuple of the intersection of a nonempty list."""
-    return tuple(sorted(frozenset.intersection(
-        *(s.member_set for s in subgroups))))
+    meet = np.logical_and.reduce([s.mask for s in subgroups])
+    return tuple(np.flatnonzero(meet).tolist())
 
 
 def frattini_of_p_group(P, p):

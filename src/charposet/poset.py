@@ -1,9 +1,8 @@
 """Connected components of node/edge structures and group actions on them.
 
 Components are computed by hooking and pointer jumping over numpy arrays and
-reported as a canonical Partition: each node is labeled by the smallest node
-index in its component, and component ids are assigned in ascending order of
-those representatives.
+reported as a canonical Partition, one read-only array of component ids:
+ids are assigned in ascending order of each component's least node.
 """
 from __future__ import annotations
 
@@ -14,25 +13,23 @@ import numpy as np
 from .errors import ActionNotCompatible
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Canonical partition of range(node_count) into connected components."""
 
-    node_count: int
-    component_of: tuple    # node index -> component id
-    components: tuple      # component id -> sorted tuple of node indices
+    component_of: np.ndarray   # node -> component id, a read-only int array
+
+    @property
+    def node_count(self):
+        return len(self.component_of)
 
     @property
     def count(self):
-        return len(self.components)
+        return int(self.component_of.max(initial=-1)) + 1
 
     @property
     def component_sizes(self):
-        return tuple(len(c) for c in self.components)
-
-    @property
-    def representatives(self):
-        return tuple(c[0] for c in self.components)
+        return tuple(np.bincount(self.component_of).tolist())
 
 
 def components(node_count, edges):
@@ -59,11 +56,8 @@ def components(node_count, edges):
         np.minimum.at(parent, hi, lo)
     roots = parent == np.arange(node_count)
     component_of = (np.cumsum(roots) - 1)[parent]
-    order = np.argsort(component_of, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(component_of))
-    return Partition(node_count, tuple(component_of.tolist()), tuple(
-        tuple(order[s:t]) for s, t in zip([0, *ends[:-1].tolist()],
-                                          ends.tolist())))
+    component_of.setflags(write=False)
+    return Partition(component_of)
 
 
 def action_on_components(partition, node_image, base_node=0):
@@ -84,9 +78,10 @@ def action_on_components(partition, node_image, base_node=0):
     if img.ndim != 2 or img.shape[1] != n:
         raise ActionNotCompatible(
             f"node images have shape {img.shape}, need (generators, {n})")
-    comp_of = np.array(partition.component_of, dtype=np.int32)
+    comp_of = partition.component_of
     # cimg[k, c] = component of generator k's image of c's least node
-    cimg = comp_of[img[:, list(partition.representatives)]]
+    least = np.unique(comp_of, return_index=True)[1]
+    cimg = comp_of[img[:, least]]
     split = np.flatnonzero((comp_of[img] != cimg[:, comp_of]).any(axis=1))
     if split.size:
         raise ActionNotCompatible(

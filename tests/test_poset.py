@@ -40,7 +40,7 @@ def test_component_numbering_is_canonical():
     assert part.component_of[1] == part.component_of[2] == 1
     assert part.component_of[3] == 2
     assert part.component_of[4] == part.component_of[5] == 3
-    assert part.representatives == (0, 1, 3, 4)
+    assert part.component_sizes == (1, 2, 1, 2)
 
 
 @given(st.integers(1, 40), st.data())
@@ -68,21 +68,22 @@ def test_s_and_gamma_partitions_match_networkx(text):
     for p in (2, 3):
         for e in (0, 1):
             gam = gamma_poset(G, p, e)
-            lat = gam.s.lattice
+            lat = gam.s
             for n, edges, part in (
                     (lat.node_count, lat.covers, gam.s.partition),
                     (gam.node_count, gam.edges, gam.partition)):
                 g = nx.Graph()
                 g.add_nodes_from(range(n))
-                g.add_edges_from(edges)
+                g.add_edges_from(edges.tolist())
                 want = sorted(tuple(sorted(c))
                               for c in nx.connected_components(g))
                 of = [0] * n
                 for k, comp in enumerate(want):
                     for v in comp:
                         of[v] = k
-                assert part.components == tuple(want), (p, e)
-                assert part.component_of == tuple(of), (p, e)
+                assert part.component_sizes == \
+                    tuple(len(c) for c in want), (p, e)
+                assert part.component_of.tolist() == of, (p, e)
 
 
 def test_action_p_group_is_trivial():
@@ -115,7 +116,7 @@ def test_orbit_stabilizer_identity_across_catalog():
                     ("SL(2,3)", 2), ("Q(16)", 2)]:
         G = cached_group(text)
         spos = s_poset(G, p, 0)
-        check_node_action(G, element_node_images(spos), spos.lattice.covers)
+        check_node_action(G, element_node_images(spos), spos.covers)
         act = element_component_action(spos)
         assert len(act.orbit) * act.stabilizer.order == G.order
 
@@ -176,13 +177,13 @@ def test_generator_orbit_matches_element_action(text):
     for p in (2, 3):
         for e in (0, 1):
             spos = s_poset(G, p, e)
-            if spos.lattice.node_count:
+            if spos.node_count:
                 assert s_component_action(spos) == \
                     element_component_action(spos).orbit, (p, e)
 
 
 def _identity_rows(spos):
-    return np.arange(spos.lattice.node_count, dtype=np.int32)[None, :]
+    return np.arange(spos.node_count, dtype=np.int32)[None, :]
 
 
 def test_orbit_that_misses_a_sylow_component_is_rejected(monkeypatch):
@@ -201,9 +202,9 @@ def test_orbit_length_is_the_sylow_component_count(text):
     for p in (2, 3, 5, 7):
         for e in (0, 1):
             spos = s_poset(G, p, e)
-            if spos.lattice.node_count:
+            if spos.node_count:
                 sylow = {spos.partition.component_of[i]
-                         for i in spos.lattice.sylow_ids}
+                         for i in spos.sylow_ids}
                 assert len(s_component_action(spos)) == len(sylow) == \
                     spos.partition.count, (p, e)
 

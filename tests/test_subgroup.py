@@ -76,8 +76,7 @@ def test_nodes_share_a_local_table_exactly_when_their_mul_is_equal(text):
 @pytest.mark.parametrize("p", [2, 3])
 def test_component_stabilizer_tables_match_oracle(text, p):
     spos = s_poset(cached_group(text), p, 0)
-    check_node_action(spos.group, element_node_images(spos),
-                      spos.lattice.covers)
+    check_node_action(spos.group, element_node_images(spos), spos.covers)
     _assert_table_matches_oracle(element_component_action(spos).stabilizer)
 
 
@@ -143,11 +142,25 @@ def test_lattice_nodes_are_read_only_and_indexed_by_members(text):
         for H in enumerate_p_subgroups(G, p).nodes:
             assert not H.mask.flags.writeable
             assert np.flatnonzero(H.mask).tolist() == list(H.members)
-            assert H.member_set == frozenset(H.members)
             for a in (H.local.mul, H.local.inv, H.local.elem_order):
                 assert not a.flags.writeable
             with pytest.raises(ValueError):
                 H.mask[0] = False
+        # the poset facts of S and Gamma are read-only int arrays too
+        for e in (0, 1):
+            if G.order % p ** (e + 1):
+                continue
+            gam = gamma_poset(G, p, e)
+            for name, a in (("covers", gam.s.covers),
+                            ("conjugates", gam.s.conjugates),
+                            ("S component_of", gam.s.partition.component_of),
+                            ("offsets", gam.offsets), ("edges", gam.edges),
+                            ("component_of", gam.partition.component_of)):
+                assert a.dtype.kind == "i" and not a.flags.writeable, name
+            assert gam.s.covers.shape == (len(gam.s.covers), 2)
+            assert gam.s.conjugates.shape == (gam.s.node_count, 2)
+            assert gam.offsets.shape == (gam.s.node_count + 1,)
+            assert gam.edges.shape == (len(gam.edges), 2)
 
 
 def test_lattice_makes_its_nodes_once_per_level(monkeypatch):

@@ -21,7 +21,6 @@ from charposet.errors import (
     TableConstructionFailed,
 )
 from charposet.gamma import (
-    GammaNode,
     _generating_set,
     char_context,
     s_node_images,
@@ -136,18 +135,18 @@ def every_element_strongly_embedded_check(G, p, e, M):
     if M.order % pe1:
         return False
     marr = np.array(M.members, dtype=np.int32)
+    mset = set(M.members)
     for x in range(G.order):
-        if x in M.member_set:
+        if x in mset:
             continue
         conj = set(int(v) for v in G.conj_set(marr, x))
-        if len(conj & M.member_set) % pe1 == 0:
+        if len(conj & mset) % pe1 == 0:
             return False
     return True
 
 
-def _p_nodes_inside(lat, member_set):
-    return [i for i, sub in enumerate(lat.nodes)
-            if sub.member_set <= member_set]
+def _p_nodes_inside(lat, mset):
+    return [i for i, sub in enumerate(lat.nodes) if set(sub.members) <= mset]
 
 
 def strong_embedding_condition(G, p, e, M, condition):
@@ -164,37 +163,38 @@ def strong_embedding_condition(G, p, e, M, condition):
     if p_valuation(G.order, p) <= e:
         raise PreconditionViolated(f"p^{e + 1} does not divide |G|")
     pe1 = p ** (e + 1)
-    spos = s_poset(G, p, e)
-    lat = spos.lattice
+    lat = s_poset(G, p, e)
+    mset = set(M.members)
+
+    def trapped(i):
+        # N_G(node i) <= M
+        return set(normalizer(G, lat.nodes[i]).members) <= mset
 
     if condition == 1:
-        img = element_component_action(spos).component_image
+        img = element_component_action(lat).component_image
         return any(M.mask[np.flatnonzero(img[:, c] == c)].all()
-                   for c in range(spos.partition.count))
+                   for c in range(lat.partition.count))
 
     if condition == 2:
         for sid in lat.sylow_ids:
             S = lat.nodes[sid]
-            if all(normalizer(G, lat.nodes[i]).member_set <= M.member_set
-                   for i in _p_nodes_inside(lat, S.member_set)):
+            if all(trapped(i) for i in _p_nodes_inside(lat, set(S.members))):
                 return True
         return False
 
     if condition == 3:
         if M.order % pe1:
             return False
-        return all(normalizer(G, lat.nodes[i]).member_set <= M.member_set
-                   for i in _p_nodes_inside(lat, M.member_set))
+        return all(trapped(i) for i in _p_nodes_inside(lat, mset))
 
     if condition == 4:
-        if not any(normalizer(G, lat.nodes[sid]).member_set <= M.member_set
-                   for sid in lat.sylow_ids):
+        if not any(trapped(sid) for sid in lat.sylow_ids):
             return False
-        for i in _p_nodes_inside(lat, M.member_set):
-            small = lat.nodes[i].member_set
+        for i in _p_nodes_inside(lat, mset):
+            small = set(lat.nodes[i].members)
             for j, Q in enumerate(lat.nodes):
-                if small <= Q.member_set and \
-                        not Q.member_set <= M.member_set:
+                qset = set(Q.members)
+                if small <= qset and not qset <= mset:
                     return False
         return True
 
@@ -236,18 +236,18 @@ def check_node_action(G, node_image, edges):
                 "node maps are not compatible with multiplication")
 
 
-def element_node_images(spos):
+def element_node_images(lat):
     """img[g, i] = node id of (node i)^g for every g in G, as an int32
     array of shape (|G|, nodes).
 
     The rows of the library's generators compose breadth-first from the
     identity, by X^(x s) = (X^x)^s.
     """
-    G = spos.group
+    G = lat.group
     gens = _generating_set(G)
-    gen_img = s_node_images(spos)
-    img = np.zeros((G.order, spos.lattice.node_count), dtype=np.int32)
-    img[0] = np.arange(spos.lattice.node_count)
+    gen_img = s_node_images(lat)
+    img = np.zeros((G.order, lat.node_count), dtype=np.int32)
+    img[0] = np.arange(lat.node_count)
     done = np.zeros(G.order, dtype=bool)
     done[0] = True
     frontier = np.zeros(1, dtype=np.int64)
@@ -264,19 +264,18 @@ def element_node_images(spos):
     return img
 
 
-def s_component_action(spos):
+def s_component_action(lat):
     """Orbit of the first Sylow node's component under G's generators.
 
     The orbit walk over `s_node_images`. Sylow's theorem makes G transitive
     on its Sylow p-subgroups, so the orbit must be exactly the components
     that hold a Sylow node; any other orbit raises ActionNotCompatible.
     """
-    lat = spos.lattice
     if not lat.sylow_ids:
         raise PreconditionViolated("empty poset has no base component")
-    orbit = action_on_components(spos.partition, s_node_images(spos),
+    orbit = action_on_components(lat.partition, s_node_images(lat),
                                  base_node=lat.sylow_ids[0])
-    sylow = {spos.partition.component_of[i] for i in lat.sylow_ids}
+    sylow = {int(lat.partition.component_of[i]) for i in lat.sylow_ids}
     if set(orbit) != sylow:
         raise ActionNotCompatible(f"orbit of {len(orbit)} components, but "
                                   f"{len(sylow)} hold a Sylow node")
@@ -313,7 +312,7 @@ class ElementAction:
     stabilizer: Subgroup         # stabilizer of the base component
 
 
-def element_component_action(spos):
+def element_component_action(lat):
     """Conjugation action of G on pi_0 S from every element's node images,
     based at the first Sylow node.
 
@@ -321,19 +320,21 @@ def element_component_action(spos):
     a failed orbit-stabilizer identity |orbit| * |stab| = |G| raises
     ActionNotCompatible.
     """
-    G = spos.group
-    partition = spos.partition
-    img = element_node_images(spos)
+    G = lat.group
+    partition = lat.partition
+    img = element_node_images(lat)
     if img.shape != (G.order, partition.node_count):
         raise ActionNotCompatible(f"node images have shape {img.shape}")
-    comp_of = np.array(partition.component_of, dtype=np.int32)
+    comp_of = partition.component_of
+    of = comp_of.tolist()
+    least = [of.index(c) for c in range(partition.count)]
     # cimg[g, c] = component of g's image of the least node of component c
-    cimg = comp_of[img[:, list(partition.representatives)]]
+    cimg = comp_of[img[:, least]]
     split = np.flatnonzero((comp_of[img] != cimg[:, comp_of]).any(axis=1))
     if split.size:
         raise ActionNotCompatible(
             f"element {int(split[0])} splits a component across components")
-    base = int(comp_of[spos.lattice.sylow_ids[0]])
+    base = int(comp_of[lat.sylow_ids[0]])
     orbit = sorted(set(cimg[:, base].tolist()))
     stabilizer = make_subgroup(G, np.flatnonzero(cimg[:, base] == base))
     if len(orbit) * stabilizer.order != G.order:
@@ -382,11 +383,10 @@ def node_restriction_multiplicities(tH, tK, H, K):
     return (M * inv_mod(H.order, q)) % q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerNodeGamma:
-    nodes: tuple
-    offsets: tuple
-    edges: tuple
+    offsets: np.ndarray
+    edges: np.ndarray
     partition: object
 
 
@@ -405,34 +405,33 @@ def per_node_gamma(G, p, e):
     restriction product per cover: the oracle for
     `gamma.build_gamma_poset`, which transports the representatives'
     tables and shares each table among the nodes with equal local tables."""
-    lat = s_poset(G, p, e).lattice
+    lat = s_poset(G, p, e)
     own = own_tables(G, p)
-    nodes = []
-    offsets = []
-    for i, sub in enumerate(lat.nodes):
-        offsets.append(len(nodes))
-        nodes.extend(GammaNode(i, a) for a in range(own[sub.members].count))
+    offsets = [0]
+    for sub in lat.nodes:
+        offsets.append(offsets[-1] + own[sub.members].count)
     edges = []
-    for i, j in lat.covers:
+    for i, j in lat.covers.tolist():
         H, K = lat.nodes[i], lat.nodes[j]
         M = node_restriction_multiplicities(own[H.members], own[K.members],
                                             H, K)
         for a, b in zip(*np.nonzero(M)):
             edges.append((offsets[i] + int(a), offsets[j] + int(b)))
-    return PerNodeGamma(tuple(nodes), tuple(offsets), tuple(edges),
-                        components(len(nodes), edges))
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return PerNodeGamma(np.array(offsets), edges,
+                        components(offsets[-1], edges))
 
 
 def full_comparability_partition(G, p, e):
     """Gamma(p, e)'s partition with edges over every comparable pair H < K
     of S(p, e), not only the index-p covers."""
-    lat = s_poset(G, p, e).lattice
+    lat = s_poset(G, p, e)
     ctx = char_context(G)
     offsets = np.cumsum([0] + [ctx.table(sub).count for sub in lat.nodes])
     edges = []
     for i, H in enumerate(lat.nodes):
         for j, K in enumerate(lat.nodes):
-            if H.order < K.order and H.member_set <= K.member_set:
+            if H.order < K.order and set(H.members) <= set(K.members):
                 M = node_restriction_multiplicities(ctx.table(H),
                                                     ctx.table(K), H, K)
                 edges.extend((int(offsets[i]) + int(a), int(offsets[j]) + int(b))
@@ -600,10 +599,9 @@ def induced_table(G, members):
     return table_from_mul(lut[G.mul[np.ix_(marr, marr)]])
 
 
-def conjugated_node_images(spos):
+def conjugated_node_images(lat):
     """node_image[g][i] = node id of (node i)^g, conjugating by every g."""
-    G = spos.group
-    lat = spos.lattice
+    G = lat.group
     return [tuple(lat.node_index[tuple(sorted(G.conj_set(sub.members, g)
                                               .tolist()))]
                   for sub in lat.nodes)
@@ -629,7 +627,7 @@ def conjugation_orbits(lat):
 def _extensions_by_subgroup_tables(G, mem, p):
     """Index-p overgroups of H: the coset union for every x in N_G(H) - H."""
     H = make_subgroup(G, mem)
-    hset = H.member_set
+    hset = set(H.members)
     out = set()
     for x in normalizer(G, H).members:
         if x in hset or not is_p_power(int(G.elem_order[x]), p):
@@ -725,12 +723,12 @@ def scanned_p_lattice(G, p, e, levels):
             for mem in levels[k]]
     nodes = tuple(make_subgroup(G, mem) for mem in mems)
     covers = [(i, j) for j, K in enumerate(nodes) for i, H in enumerate(nodes)
-              if H.order * p == K.order and H.member_set <= K.member_set]
+              if H.order * p == K.order and set(H.members) <= set(K.members)]
     full = p ** max(levels) if levels else None
     return PSubgroupLattice(
-        group=G, p=p, e=e, nodes=nodes, covers=tuple(covers),
+        group=G, p=p, e=e, nodes=nodes,
+        covers=np.array(covers, dtype=np.int64).reshape(-1, 2),
         sylow_ids=tuple(i for i, s in enumerate(nodes) if s.order == full),
-        node_index={mem: i for i, mem in enumerate(mems)},
         conjugates=None)      # the scan forms no classes
 
 
@@ -778,9 +776,9 @@ def check_component_projection(gamma):
     sp = gamma.s.partition
     gp = gamma.partition
     comp_target = {}
-    for n, node in enumerate(gamma.nodes):
-        c = gp.component_of[n]
-        t = sp.component_of[node.subgroup_id]
+    for n, i in gamma_nodes(gamma):
+        c = int(gp.component_of[n])
+        t = int(sp.component_of[i])
         if comp_target.setdefault(c, t) != t:
             raise AssertionError(
                 "a Gamma component projects onto two S components")
@@ -799,11 +797,27 @@ def check_component_projection(gamma):
 def subgroup_reaches_all_components(gamma, subgroup_id):
     """Whether every Gamma component contains a node over this subgroup."""
     reached = {
-        gamma.partition.component_of[n]
-        for n, node in enumerate(gamma.nodes)
-        if node.subgroup_id == subgroup_id
+        int(gamma.partition.component_of[n])
+        for n, i in gamma_nodes(gamma) if i == subgroup_id
     }
     return len(reached) == gamma.partition.count
+
+
+def gamma_nodes(gamma):
+    """(n, i) for each node n of Gamma, i its S node, read one node at a
+    time from the offsets."""
+    offsets = gamma.offsets.tolist()
+    return [(n, i) for i in range(gamma.s.node_count)
+            for n in range(offsets[i], offsets[i + 1])]
+
+
+def looped_x_of_sylow(gamma, sylow_node):
+    """|pi_0 X(P)| by a loop over Gamma's nodes: the oracle of the
+    vectorised `gamma.x_of_sylow`."""
+    s_of = gamma.s.partition.component_of.tolist()
+    return len({int(gamma.partition.component_of[n])
+                for n, i in gamma_nodes(gamma)
+                if s_of[i] == s_of[sylow_node]})
 
 
 # --- character constructions checked against the tables ----------------
@@ -845,7 +859,7 @@ def validate_direct_product(G, A, B):
         raise NotADirectProduct("factors belong to a different group")
     if A.order * B.order != G.order:
         raise NotADirectProduct("|A||B| != |G|")
-    if A.member_set & B.member_set != {0}:
+    if set(A.members) & set(B.members) != {0}:
         raise NotADirectProduct("factors intersect nontrivially")
     amarr = np.array(A.members, dtype=np.int32)
     bmarr = np.array(B.members, dtype=np.int32)
