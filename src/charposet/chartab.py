@@ -10,7 +10,8 @@ Irr(G) is made in one of three ways, all ending in the same validation:
 abelian groups as Hom(G, GF(q)^*) (`abelian_rows`), non-abelian p-groups
 from the tables of their maximal subgroups by Clifford theory
 (`clifford_rows`, fed by `CharContext`), and every other group by Dixon's
-eigenvector splitting (`dixon_rows`).
+eigenvector splitting (`dixon_rows`). Every product in G goes through
+`GroupTable`'s methods; the multiplication table is not read here.
 """
 from __future__ import annotations
 
@@ -78,12 +79,11 @@ def classes_by_conjugation(G):
     n = G.order
     class_of = np.full(n, -1, dtype=np.int32)
     reps = []
-    rng = np.arange(n, dtype=np.int32)
+    every = np.arange(n, dtype=np.int32)
     for x in range(n):
         if class_of[x] >= 0:
             continue
-        t = G.mul[G.inv, x]
-        class_of[G.mul[t, rng]] = len(reps)     # the orbit, with repeats
+        class_of[G.conj_set(x, every)] = len(reps)  # the orbit, with repeats
         reps.append(x)
     sizes = np.bincount(class_of, minlength=len(reps)).astype(np.int64)
     inverse_class = np.array([class_of[G.inv[r]] for r in reps], dtype=np.int32)
@@ -122,7 +122,7 @@ def _class_matrix(G, cls, i):
     m = cls.count
     members_i = np.flatnonzero(cls.class_of == i).astype(np.int32)
     reps = np.array(cls.reps, dtype=np.int32)
-    ys = G.mul[G.inv[members_i][:, None], reps[None, :]]
+    ys = G.prod(G.inv[members_i][:, None], reps)
     cj = cls.class_of[ys]                      # (|C_i|, m)
     A = np.zeros((m, m), dtype=np.int64)
     cols = np.broadcast_to(np.arange(m), cj.shape)
@@ -238,7 +238,7 @@ def abelian_rows(G, q):
         x = g
         while not inside[x]:
             powers.append(x)
-            x = int(G.mul[x, g])
+            x = int(G.prod(x, g))
         k = len(powers)                        # x = g^k is in H
         a = logs[:, x]
         if (a % k).any():
@@ -249,7 +249,7 @@ def abelian_rows(G, q):
         j = np.arange(k)[:, None]
         # extension (c, t) takes g^j h to j s[c, t] + log chi_c(h)
         vals = (j * s[:, :, None, None] + logs[:, None, None, H]) % e
-        coset_elems = G.mul[np.array(powers)[:, None], H[None, :]].ravel()
+        coset_elems = G.prod(np.array(powers)[:, None], H).ravel()
         logs = np.zeros((s.size, n), dtype=np.int64)
         logs[:, coset_elems] = vals.reshape(s.size, -1)
         inside[coset_elems] = True
@@ -284,10 +284,7 @@ def clifford_rows(G, cls, q, p, covers):
         local = np.full(n, -1, dtype=np.int64)
         local[mem] = np.arange(len(mem))
         y = int(np.argmin(local >= 0))
-        ys = [0]
-        for _ in range(p - 1):
-            ys.append(int(G.mul[ys[-1], y]))
-        ys = np.array(ys)                      # y^0, ..., y^(p-1)
+        ys = G.powers(y, p)                    # y^0, ..., y^(p-1)
         lcls = tL.classes
         V = tL.values_matrix()
         degrees = np.array([c.degree for c in tL.chars])
@@ -300,13 +297,13 @@ def clifford_rows(G, cls, q, p, covers):
             if (omega[logs] != lin).any():
                 raise TableConstructionFailed(
                     "a linear character value is not a power of omega")
-            a = logs[:, lcls.class_of[local[G.mul[ys[-1], y]]]]   # psi(y^p)
+            a = logs[:, lcls.class_of[local[G.power(y, p)]]]   # psi(y^p)
             if (a % p).any():
                 raise TableConstructionFailed(
                     "an invariant linear character does not extend")
             mu = (a // p)[:, None] + np.arange(p) * (e // p)
             # each class rep r is m y^j with m = r y^-j in L
-            cand = G.mul[reps[:, None], G.inv[ys]]
+            cand = G.prod(reps[:, None], G.inv[ys])
             j = np.argmax(local[cand] >= 0, axis=1)
             m = cand[np.arange(reps.size), j]
             ext = (logs[:, None, lcls.class_of[local[m]]]
@@ -316,7 +313,7 @@ def clifford_rows(G, cls, q, p, covers):
             total += ext.shape[0] * p
         moved = ~fixed
         inside = local[reps] >= 0
-        conj = G.mul[G.mul[G.inv[ys], reps[inside, None]], ys]
+        conj = G.conj_set(reps[inside, None], ys)
         induced = V[moved][:, lcls.class_of[local[conj]]].sum(axis=2) % q
         vals = np.zeros((induced.shape[0], reps.size), dtype=np.int64)
         vals[:, inside] = induced
@@ -496,10 +493,10 @@ def induce(ctx, H, theta):
     theta_vals = np.asarray(theta.values, dtype=np.int64)
     theta_parent[marr] = theta_vals[tH.classes.class_of]
     inv_h = inv_mod(H.order, q)
-    rng = np.arange(G.order, dtype=np.int32)
+    every = np.arange(G.order, dtype=np.int32)
     values = []
     for g in tG.classes.reps:
-        conj = G.mul[G.mul[G.inv, g], rng]      # x^{-1} g x over all x
+        conj = G.conj_set(g, every)             # x^{-1} g x over all x
         inside = conj[H.mask[conj]]
         values.append(int(theta_parent[inside].sum() % q * inv_h % q))
     values = tuple(values)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from itertools import groupby
 
 import numpy as np
@@ -185,7 +185,7 @@ def _cover_keys(G, lat, tables, g):
         reps[pos[r], :t.classes.count] = mem[list(t.classes.reps)]
     rep = pos[lat.conjugates[:, 0]]
     i, j = lat.covers.T
-    h = G.mul[g[i], G.inv[g[j]]]
+    h = G.prod(g[i], G.inv[g[j]])
     fusion = class_in[rep[j, None], G.conj_set(reps[rep[i]], h[:, None])]
     if (fusion < 0).any():
         raise TableConstructionFailed("a cover is not an inclusion")
@@ -314,7 +314,7 @@ def _double_coset_reps(G, M):
     while not covered.all():
         g = int(np.argmin(covered))
         reps.append(g)
-        covered[G.mul[G.mul[marr, g][:, None], marr[None, :]]] = True
+        covered[G.prod(G.prod(marr, g)[:, None], marr)] = True
     return reps
 
 
@@ -388,22 +388,14 @@ class VerificationReport:
     millis: int
 
     def to_json(self):
-        return json.dumps({
-            "group": self.group, "p": self.p, "e": self.e,
-            "claim": self.claim, "observed": self.observed,
-            "expected": self.expected, "status": self.status,
-            "millis": self.millis,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def csv_row(self):
-        return [self.group, str(self.p), str(self.e), self.claim,
-                json.dumps(self.observed, sort_keys=True),
-                json.dumps(self.expected, sort_keys=True),
-                self.status, str(self.millis)]
+        return [json.dumps(v, sort_keys=True) if isinstance(v, dict) else str(v)
+                for v in astuple(self)]
 
 
-CSV_COLUMNS = ["group", "p", "e", "claim", "observed", "expected",
-               "status", "millis"]
+CSV_COLUMNS = [f.name for f in fields(VerificationReport)]
 
 
 def _require(cond, why):

@@ -4,12 +4,15 @@ Every table is built from the structure it comes from: a permutation group's
 from its permutations (`closure_of_permutations`), a direct product's from
 its factors' arrays (`direct_table_product`) and a subgroup's from its
 parent's (`make_subgroups`); none is scanned for inverses afterwards.
-A subgroup is its member tuple and membership mask. The poset S_{p,e}(G) is
-one `PSubgroupLattice`, which keeps its covers, classes and components as the
-int arrays they are computed as. Element 0 is always the identity. All types
-are immutable after construction, except for each table's cache of derived
-data (`GroupTable.memo`) and each lattice's cached properties; every
-operation is a pure function of its inputs.
+Every product, conjugation and power goes through `GroupTable` (`prod`,
+`conj_set`, `power`, `powers`); outside it, only `direct_table_product`
+reads a table, its factors'. A subgroup is its member tuple and membership
+mask. The poset S_{p,e}(G) is one `PSubgroupLattice`, which keeps its
+covers, classes and components as the int arrays they are computed as.
+Element 0 is always the identity. All types are immutable after
+construction, except for each table's cache of derived data
+(`GroupTable.memo`) and each lattice's cached properties; every operation
+is a pure function of its inputs.
 """
 from __future__ import annotations
 
@@ -141,24 +144,36 @@ class GroupTable:
             self._memo[key] = build()
         return self._memo[key]
 
+    def prod(self, x, y=slice(None)):
+        """x*y for elements, broadcasting index arrays or slices; without y,
+        the row of products x*g over every g, for each x."""
+        return self.mul[x, y]
+
     def conj_set(self, members, g):
         """Image of a member array under conjugation by g."""
-        members = np.asarray(members)
-        return self.mul[self.mul[self.inv[g], members], g]
+        return self.prod(self.prod(self.inv[g], np.asarray(members)), g)
 
     def power(self, x, k):
-        acc = 0
-        b = int(x)
-        k = int(k)
+        """x^k for an element or an array of them and any int k, by
+        square-and-multiply; an int for a scalar x."""
+        x, k = np.asarray(x), int(k)
         if k < 0:
-            b = int(self.inv[b])
-            k = -k
+            x, k = self.inv[x], -k
+        acc = np.zeros_like(x)
         while k:
             if k & 1:
-                acc = int(self.mul[acc, b])
-            b = int(self.mul[b, b])
+                acc = self.prod(acc, x)
+            x = self.prod(x, x)
             k >>= 1
-        return acc
+        return int(acc) if np.ndim(acc) == 0 else acc
+
+    def powers(self, x, k):
+        """x^0, ..., x^(k-1) of an element or an array x, on a new last axis."""
+        x = np.asarray(x)
+        out = np.zeros(x.shape + (k,), dtype=self.mul.dtype)
+        for j in range(1, k):
+            out[..., j] = self.prod(out[..., j - 1], x)
+        return out
 
     def exponent(self):
         return lcm(*set(self.elem_order.tolist()))
@@ -335,7 +350,7 @@ def make_subgroups(G, rows):
                     "member set is not closed under multiplication")
             return (at - starts * m).astype(np.int32).reshape(x.shape)
 
-        mul = local_index(G.mul[rows[:, :, None], rows[:, None, :]])
+        mul = local_index(G.prod(rows[:, :, None], rows[:, None, :]))
         inv = local_index(G.inv[rows])
         orders = G.elem_order[rows]
         for a in (mul, inv, orders):
@@ -387,7 +402,7 @@ def closure_members(G, seed):
         if 2 * size > G.order:
             return tuple(range(G.order))
         found = np.zeros(G.order, dtype=bool)
-        found[G.mul[np.ix_(frontier, gens)]] = True
+        found[G.prod(frontier[:, None], gens)] = True
         frontier = np.flatnonzero(found & ~mask)
         mask[frontier] = True
         size += frontier.size
@@ -409,8 +424,8 @@ def _normalizer_mask(G, gens, mask):
     H^g is generated by their images and has the order of H. Any member
     array of H that generates it will do, all of H included.
     """
-    hg = G.mul[np.asarray(gens, dtype=np.int32)].T     # (n, |gens|): h*g
-    return mask[G.mul[G.inv[:, None], hg]].all(axis=1)
+    hg = G.prod(np.asarray(gens, dtype=np.int32)).T     # (n, |gens|): h*g
+    return mask[G.prod(G.inv[:, None], hg)].all(axis=1)
 
 
 def normalizer(G, H):
@@ -440,7 +455,7 @@ def validate_semidirect(G, H, K):
 
 def centralizer_members(G, members):
     members = np.asarray(members, dtype=np.int32)
-    ok = (G.mul[:, members] == G.mul[members, :].T).all(axis=1)
+    ok = (G.prod(slice(None), members) == G.prod(members).T).all(axis=1)
     return tuple(int(x) for x in np.flatnonzero(ok))
 
 
@@ -515,7 +530,7 @@ def _right_transversal(G, nmask):
     when it is that column's least element."""
     if nmask.all():
         return np.zeros(1, dtype=np.intp)
-    least = G.mul[nmask].min(axis=0)
+    least = G.prod(nmask).min(axis=0)
     return np.flatnonzero(least == np.arange(G.order))
 
 
@@ -525,15 +540,6 @@ def _conjugates(G, elems, T):
         return [elems]
     rows = np.sort(G.conj_set(np.array(elems), T[:, None]), axis=1)
     return [tuple(r) for r in rows.tolist()]
-
-
-def _pth_powers(G, p):
-    """x^p for every element x of G: square-and-multiply, log2(p) gathers."""
-    acc, sq = np.zeros(G.order, dtype=np.int32), np.arange(G.order)
-    for bit in bin(p)[:1:-1]:           # the bits of p, least first
-        acc = G.mul[acc, sq] if bit == "1" else acc
-        sq = G.mul[sq, sq]
-    return acc
 
 
 def _index_p_overgroups(G, p, hmasks, nmasks, xp):
@@ -550,13 +556,12 @@ def _index_p_overgroups(G, p, hmasks, nmasks, xp):
     """
     reps = np.nonzero(hmasks)[1].reshape(len(hmasks), -1)
     ri, xs = np.nonzero(nmasks & ~hmasks & hmasks[:, xp])
-    cosets = [reps[ri]]
-    for _ in range(p - 1):
-        cosets.append(G.mul[cosets[-1], xs[:, None]])
-    rows = np.sort(np.concatenate(cosets, axis=1), axis=1)
+    # cosets[c, j] = H x^j for the candidate x = xs[c]
+    cosets = G.prod(reps[ri][:, None, :], G.powers(xs, p)[:, :, None])
+    rows = np.sort(cosets.reshape(xs.size, p * reps.shape[1]), axis=1)
     if (rows[:, 1:] == rows[:, :-1]).any():
         raise LatticeConstructionFailed("coset union has wrong size")
-    keep = xs == np.concatenate(cosets[1:], axis=1).min(axis=1)
+    keep = xs == cosets[:, 1:].min(axis=(1, 2))
     return ri[keep], rows[keep], xs[keep]
 
 
@@ -575,14 +580,11 @@ def _build_p_lattice(G, p):
     make_subgroups call.
     """
     xs = np.flatnonzero(G.elem_order == p)
-    powers = [np.zeros_like(xs), xs]         # x^0, ..., x^(p-1) as columns
     # an element of order p bounds p by |G|; p itself may be any huge prime
-    for _ in range(p - 2 if xs.size else 0):
-        powers.append(G.mul[powers[-1], xs])
-    cyclic = np.sort(np.stack(powers, axis=1), axis=1).tolist()
+    cyclic = np.sort(G.powers(xs, p), axis=1).tolist() if xs.size else []
     gens = {tuple(c): (x,) for c, x in zip(cyclic, xs.tolist())}
     level = sorted(gens)
-    xp = _pth_powers(G, p)
+    xp = G.power(np.arange(G.order), p)
     levels = []
     classes = {}                     # member tuple -> (representative, g)
     steps = []                       # (H, K) member tuples, |K : H| = p
@@ -674,14 +676,11 @@ def frattini_of_p_group(P, p):
     if not is_p_power(P.order, p) or P.order < p:
         raise NotAPGroup(f"|P| = {P.order} is not a power of {p} with |P| >= {p}")
     # (b) closure of commutators and p-th powers
-    gens = set()
-    marr = np.array(P.members, dtype=np.int32)
-    for x in P.members:
-        gens.add(G.power(x, p))
-        xy = G.mul[x, marr]
-        yx = G.mul[marr, x]
-        gens.update(int(v) for v in G.mul[G.inv[xy], yx])  # (xy)^-1 yx = [x,y]
-    by_powers = closure_members(G, gens)
+    x = np.array(P.members, dtype=np.int32)
+    y = x[:, None]
+    commutators = G.prod(G.inv[G.prod(x, y)], G.prod(y, x))  # (xy)^-1 yx = [x,y]
+    by_powers = closure_members(
+        G, np.concatenate((G.power(x, p), commutators.ravel())))
     # (a) intersection of the index-p subgroups of P: its lower covers in G's
     # p-subgroup lattice
     if P.order == p:

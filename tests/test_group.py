@@ -1,4 +1,5 @@
 """Group tables, subgroups, and the p-subgroup lattice."""
+import ast
 import dataclasses
 import hashlib
 import os
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charposet.group as group_module
+from charposet import chartab, gamma
 from charposet.catalog import realize
 from charposet.errors import (
     ClosureCapExceeded,
@@ -422,6 +424,46 @@ def test_right_transversal_matches_argmin_loop(text, p):
         T = _right_transversal(G, nmask)
         assert T.tolist() == looped_right_transversal(G, nmask).tolist()
         assert T.size * nmask.sum() == G.order
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_power_and_powers_match_iterated_products(text):
+    # square-and-multiply against |k| products of each element in turn
+    G = cached_group(text)
+    every = np.arange(G.order)
+    p = max(d for d in range(2, G.order + 1) if G.order % d == 0 and is_prime(d))
+    for k in (-3, -1, 0, 1, 2, 3, p, G.order + 1):
+        base = every if k >= 0 else G.inv[every]
+        acc = np.zeros_like(every)
+        for _ in range(abs(k)):
+            acc = G.prod(acc, base)
+        assert np.array_equal(G.power(every, k), acc), k
+    stacked = [np.zeros_like(every)]
+    for _ in range(p - 1):
+        stacked.append(G.prod(stacked[-1], every))
+    assert np.array_equal(G.powers(every, p), np.stack(stacked, axis=-1))
+    x = G.order - 1
+    assert type(G.power(x, p)) is int and G.power(x, p) == G.power(every, p)[x]
+    assert type(G.power(np.int64(x), -1)) is int
+    assert G.power(x, -1) == G.inv[x]
+    assert G.powers(np.zeros((0, 3), dtype=np.int64), p).shape == (0, 3, p)
+    assert G.powers(every, 1).shape == (G.order, 1)
+    assert not G.powers(every, 1).any()
+    assert G.powers(x, p).shape == (p,)
+
+
+def test_only_group_table_reads_the_multiplication_table():
+    # every product goes through GroupTable's methods; a direct product is
+    # the one table built from other tables' arrays
+    readers = {"GroupTable", "direct_table_product"}
+    for module in (group_module, chartab, gamma):
+        with open(module.__file__) as f:
+            tree = ast.parse(f.read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "mul":
+                    assert getattr(top, "name", None) in readers, (
+                        f"{module.__name__}:{node.lineno} reads .mul")
 
 
 @pytest.mark.parametrize("text", ["D(4)", "Q(8)", "X(3,+)", "X(3,-)"])

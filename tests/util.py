@@ -34,7 +34,6 @@ from charposet.group import (
     _elem_orders,
     _index_p_overgroups,
     _normalizer_mask,
-    _pth_powers,
     all_subgroups,
     closure_members,
     is_p_power,
@@ -696,7 +695,7 @@ def batched_overgroups(G, p, nodes):
     nmasks = np.array([_normalizer_mask(G, H.members, H.mask) for H in nodes])
     out = [[] for _ in nodes]
     for t, over, x in zip(*(a.tolist() for a in _index_p_overgroups(
-            G, p, hmasks, nmasks, _pth_powers(G, p)))):
+            G, p, hmasks, nmasks, G.power(np.arange(G.order), p)))):
         out[t].append((tuple(over), x))
     return out
 
