@@ -1,12 +1,14 @@
 """Group-expression language and realizations of the named group families.
 
-Every family but E(p,k) and direct products is a permutation group (the
-regular action for the normal-form families) closed by `group_from_generators`
-or `closure_of_permutations`; those two are `direct_table_product`s of
-realized factors, and a product's order is checked against the cap first.
-PSL(2,q) acts on the projective line, its generators read from the addition
-and multiplication tables of GF(q) (`_gf_tables`). Each realized table is
-checked against its family's contract.
+Tables keyed by a family's name hold what the code knows of it:
+`_FAMILIES` its argument kinds and |G|, read by the parser and its range
+check; `_GENERATORS` a permutation representation, where D, SD, M and
+X(p,-) are all the maps x -> x + 1, x -> u*x on Z/h of `_affine`; and
+`_STRUCTURE` what its table is beyond its order. Every named realization is
+checked against both. E(p,k) and direct products are `direct_table_product`s
+of realized factors, and a product's order is checked against the cap
+first. PSL(2,q) acts on the projective line, its generators read from the
+addition and multiplication tables of GF(q) (`_gf_tables`).
 """
 from __future__ import annotations
 
@@ -119,10 +121,23 @@ def format_expr(expr):
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z]+)|(?P<sym>[(),\[\]:;+\-]))")
 
-# argument kinds of each named family: n a number, s a sign
-_SIGNATURES = {"C": "n", "E": "nn", "D": "n", "Q": "n", "SD": "n", "M": "nn",
-               "X": "ns", "S": "n", "A": "n", "PSL": "nn", "SL": "nn"}
-_CTORS = set(_SIGNATURES)
+# name -> (argument kinds, |G| from the arguments) of each named family.
+# Kinds: n a number, k an exponent or a degree (of S, A or the matrices),
+# which `_out_of_range` bounds by the cap's bit length, and s a sign.
+_FAMILIES = {
+    "C": ("n", lambda n: n),
+    "E": ("nk", lambda p, k: p ** k),
+    "D": ("n", lambda n: 2 * n),
+    "Q": ("n", lambda m: m),
+    "SD": ("n", lambda m: m),
+    "M": ("nk", lambda p, n: p ** n),
+    "X": ("ns", lambda p, sign: p ** 3),
+    "S": ("k", factorial),
+    "A": ("k", lambda n: factorial(n) // 2),
+    "PSL": ("kn", lambda _, q: q * (q * q - 1) // gcd(2, q - 1)),
+    "SL": ("kn", lambda _, p: p * (p * p - 1)),
+}
+_CTORS = set(_FAMILIES)
 
 
 def _tokenize(text):
@@ -208,16 +223,16 @@ class _Parser:
 
     def parse_ctor(self, name):
         args, offsets = [], []
-        for i, kind in enumerate(_SIGNATURES[name]):
+        for i, kind in enumerate(_FAMILIES[name][0]):
             if i:
                 self.take("sym", ",")
-            if kind == "n":
-                arg, off = self._num()
-            else:
+            if kind == "s":
                 _, arg, off = self.take("sym", expected="'+' or '-'")
                 if arg not in "+-":
                     raise GroupSyntaxError("expected '+' or '-'", off,
                                            {"+", "-"})
+            else:
+                arg, off = self._num()
             args.append(arg)
             offsets.append(off)
         bad = _out_of_range(name, args)
@@ -287,50 +302,50 @@ class _Parser:
 def _out_of_range(name, args):
     """Index and message of the first argument outside its family's domain.
 
-    An argument is bounded before any power, factorial or primality test of
-    it, so a huge argument costs nothing. Exponents and degrees are bounded
-    by the cap's bit length b: 2^k > cap for k >= b, n! >= 2^(n-1) and
-    n!/2 >= 2^(n-2) (n >= 3), so these bounds reject only what the order
-    check would.
+    Each number is bounded before any power, factorial or primality test,
+    so a huge argument costs nothing: a number by the cap, an exponent or
+    degree by b + 1, b the cap's bit length. Past b + 1, p^k, n! >= 2^(n-1)
+    and n!/2 >= 2^(n-2) all exceed 2^b > cap, and only 2x2 matrices are
+    supported, so this rejects only what a later check would. Each number's
+    own domain checks follow its bound, and after the last number comes |G|
+    against the cap, reported at that number.
     """
+    kinds, order = _FAMILIES[name]
     cap = order_cap()
-    bits = cap.bit_length()
-    a, b = args[0], args[-1]
-    if name == "C":
-        if not 1 <= a <= cap:
-            return 0, f"C({a}) out of range"
-    elif name == "D":
-        if not 1 <= 2 * a <= cap:
-            return 0, f"D({a}) out of range"
-    elif name == "S":
-        if not (1 <= a <= bits and factorial(a) <= cap):
-            return 0, f"S({a}) out of range"
-    elif name == "A":
-        if not (3 <= a <= bits + 1 and factorial(a) // 2 <= cap):
-            return 0, f"A({a}) out of range"
-    elif name in ("Q", "SD"):
-        least = 8 if name == "Q" else 16
-        if a < least or a & (a - 1) or a > cap:
-            return 0, f"{name} needs a power of 2 that is >= {least}, got {a}"
-    elif name in ("E", "M"):
-        if a > cap:
-            return 0, f"{name}({a},{b}) out of range"
-        if not is_prime(a):
-            return 0, f"{name} needs a prime, got {a}"
-        least = 1 if name == "E" else 4 if a == 2 else 3
-        if not least <= b <= bits or a ** b > cap:
-            return 1, f"{name}({a},{b}) out of range"
-    elif name == "X":
-        if a ** 3 > cap or not is_prime(a):
-            return 0, f"X({a},..) out of range"
-    elif name in ("PSL", "SL"):
-        if a != 2:
-            return 0, f"only {name}(2,q) is supported, got {name}({a},{b})"
-        if name == "PSL" and (b < 2 or b * (b * b - 1) // gcd(2, b - 1) > cap
-                              or prime_power(b) is None):
-            return 1, f"PSL(2,{b}) out of range"
-        if name == "SL" and (b * (b * b - 1) > cap or not is_prime(b)):
-            return 1, f"SL(2,{b}) out of range"
+    numbers = [i for i, kind in enumerate(kinds) if kind != "s"]
+    for i in numbers:
+        if args[i] > (cap.bit_length() + 1 if kinds[i] == "k" else cap):
+            return i, f"{Named(name, args)} out of range"
+        why = _domain_error(name, i, args)
+        if why is not None:
+            return i, why
+    if order(*args) > cap:
+        return numbers[-1], f"{Named(name, args)} has order over cap {cap}"
+    return None
+
+
+def _domain_error(name, i, args):
+    """Why argument i of a family, bounded in size and after valid
+    arguments, is outside the family's domain, or None: a lower bound, a
+    power of 2, a prime or a prime power."""
+    x = args[i]
+    if i == 0:
+        least = {"C": 1, "D": 1, "S": 1, "A": 3, "Q": 8, "SD": 16}.get(name, 0)
+        if name in ("Q", "SD") and (x < least or x & (x - 1)):
+            return f"{name} needs a power of 2 that is >= {least}, got {x}"
+        if x < least:
+            return f"{name}({x}) out of range"
+        if name in ("E", "M", "X") and not is_prime(x):
+            return f"{name} needs a prime, got {x}"
+        if name in ("PSL", "SL") and x != 2:
+            return f"only {name}(2,q) is supported, got {Named(name, args)}"
+    elif (name == "E" and x < 1
+          or name == "M" and x < (4 if args[0] == 2 else 3)):
+        return f"{Named(name, args)} out of range"
+    elif name == "PSL" and prime_power(x) is None:
+        return f"PSL(2,{x}) needs a prime power"
+    elif name == "SL" and not is_prime(x):
+        return f"SL(2,{x}) needs a prime"
     return None
 
 
@@ -342,18 +357,9 @@ def parse_group_expr(text):
 
 # --- realization ----------------------------------------------------------
 
-def _regular_perms(size, mult, gens):
-    """Right-regular permutations of chosen generators of an abstract group."""
-    return [tuple(mult(x, g) for x in range(size)) for g in gens]
-
-
 def _contract(cond, what, label):
     if not cond:
         raise ConstructionContractViolated(f"{label}: {what}")
-
-
-def _involutions(table):
-    return int((table.elem_order == 2).sum())
 
 
 def _gf_tables(p, k):
@@ -381,8 +387,8 @@ def _gf_tables(p, k):
             return add, mul
 
 
-def _realize_psl2(q):
-    """PSL(2,q) on the projective line GF(q) u {inf}, generated by the
+def _psl2_generators(q):
+    """Generators of PSL(2,q) on the projective line GF(q) u {inf}: the
     translations by t^i and x -> -1/x."""
     pp, k = prime_power(q)
     add, mul = _gf_tables(pp, k)
@@ -391,15 +397,84 @@ def _realize_psl2(q):
     # -1/x is the y with x*y = -1, and -1 has code p - 1
     neg_inv = np.nonzero(mul == pp - 1)[1]
     gens.append((inf, *neg_inv.tolist(), 0))
-    return group_from_generators(q + 1, gens, label=f"PSL(2,{q})")
+    return q + 1, gens
 
 
-def _realize_sl2(p):
+def _sl2_generators(p):
+    """Generators of SL(2,p) on the nonzero vectors of GF(p)^2: the two
+    elementary transvections."""
     points = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
     index = {v: i for i, v in enumerate(points)}
     e12 = tuple(index[(a, (a + b) % p)] for a, b in points)
     e21 = tuple(index[((a + b) % p, b)] for a, b in points)
-    return group_from_generators(len(points), [e12, e21], label=f"SL(2,{p})")
+    return len(points), [e12, e21]
+
+
+def _affine(h, u):
+    """x -> x + 1 and x -> u*x on Z/h: D(n) at u = -1, SD(m) at h = m/2 and
+    u = m/4 - 1, and M(p,n) at h = p^(n-1) and u = 1 + p^(n-2)."""
+    return h, [tuple((x + 1) % h for x in range(h)),
+               tuple(u * x % h for x in range(h))]
+
+
+def _quaternion(m):
+    """Q(m), h = m/2, acting by right multiplication on a^i b^j = i + h*j,
+    where a^h = 1, b^2 = a^(h/2) and a^b = a^-1: the actions of a and b."""
+    h = m // 2
+    a = [(x + 1) % h for x in range(h)] + [(x - 1) % h + h for x in range(h)]
+    b = list(range(h, m)) + [(x + h // 2) % h for x in range(h)]
+    return m, [tuple(a), tuple(b)]
+
+
+def _extraspecial(p, sign):
+    """X(p,+) and X(p,-): D(4) and Q(8) at p = 2. For odd p, X(p,-) is
+    M(p,3), and X(p,+) acts by right multiplication on (a, b, c) =
+    a + p*b + p^2*c, where (a, b, c)(a', b', c') = (a + a', b + b',
+    c + c' + a*b'): the actions of (1, 0, 0) and (0, 1, 0)."""
+    if p == 2:
+        return _affine(4, -1) if sign == "+" else _quaternion(8)
+    if sign == "-":
+        return _affine(p * p, 1 + p)
+    abc = [(x % p, x // p % p, x // (p * p)) for x in range(p ** 3)]
+    return p ** 3, [tuple((a + 1) % p + p * b + p * p * c for a, b, c in abc),
+                    tuple(a + p * ((b + 1) % p) + p * p * ((c + a) % p)
+                          for a, b, c in abc)]
+
+
+# name -> (points, generators) from the arguments, for every named family
+# but E
+_GENERATORS = {
+    "C": lambda n: (n, [_cyc(n, tuple(range(n)))] if n > 1 else []),
+    # D(1) and D(2) are <(1 2)> and <(1 2), (3 4)>
+    "D": lambda n: (_affine(n, -1) if n > 2 else
+                    (2 * n, [_cyc(2 * n, (0, 1)), _cyc(4, (2, 3))][:n])),
+    "Q": _quaternion,
+    "SD": lambda m: _affine(m // 2, m // 4 - 1),
+    "M": lambda p, n: _affine(p ** (n - 1), 1 + p ** (n - 2)),
+    "X": _extraspecial,
+    "S": lambda n: (n, [_cyc(n, (0, 1)), _cyc(n, tuple(range(n)))]
+                    if n > 1 else []),
+    "A": lambda n: (n, [_cyc(n, (0, 1, i)) for i in range(2, n)]),
+    "PSL": lambda _, q: _psl2_generators(q),
+    "SL": lambda _, p: _sl2_generators(p),
+}
+
+# name -> what a family's table is beyond its order, where that is checked
+_STRUCTURE = {
+    "C": lambda G, n: (G.elem_order == n).any(),
+    "E": lambda G, p, k: G.is_abelian() and G.exponent() == p,
+    "D": lambda G, n: ((n <= 2 or not G.is_abelian())
+                       and (G.elem_order == n).any()),
+    "Q": lambda G, m: (not G.is_abelian() and (G.elem_order == m // 2).any()
+                       and (G.elem_order == 2).sum() == 1),
+    "SD": lambda G, m: (not G.is_abelian() and (G.elem_order == m // 2).any()
+                        and (G.elem_order == 2).sum() == m // 4 + 1),
+    "M": lambda G, p, n: not G.is_abelian() and G.exponent() == p ** (n - 1),
+    "X": lambda G, p, sign: (
+        not G.is_abelian() and center(G).order == p
+        and G.exponent() == (4 if p == 2 else p if sign == "+" else p * p)),
+    "SL": lambda G, _, p: p == 2 or (G.elem_order == 2).sum() == 1,
+}
 
 
 def _moved_images(lists):
@@ -446,144 +521,21 @@ def realize_group(expr):
                   "wrong product order", label)
         return out
 
-    if not isinstance(expr, Named):
+    if not isinstance(expr, Named) or expr.name not in _FAMILIES:
         raise TypeError(f"not a group expression: {expr!r}")
     name, args = expr.name, expr.args
-
-    if name == "C":
-        n, = args
-        G = group_from_generators(n, [_cyc(n, tuple(range(n)))] if n > 1 else [],
-                                  label=label)
-        _contract(G.order == n and (n == 1 or (G.elem_order == n).any()),
-                  "not cyclic of the right order", label)
-        return G
-
     if name == "E":
-        # built as an iterated table product so the direct-factor metadata
-        # needed by direct-product arguments is available downstream
+        # an iterated table product, so that L2.3 can read its factors
         p, k = args
         G = C = realize_group(Named("C", (p,)))
         for _ in range(k - 1):
             G = direct_table_product(G, C)
         G = dataclasses.replace(G, label=label)
-        _contract(G.order == p ** k and G.is_abelian()
-                  and G.exponent() == p, "not elementary abelian", label)
-        return G
-
-    if name == "D":
-        n, = args
-        if n == 1:
-            G = group_from_generators(2, [(1, 0)], label=label)
-        elif n == 2:
-            G = group_from_generators(4, [(1, 0, 2, 3), (0, 1, 3, 2)],
-                                      label=label)
-        else:
-            rot = _cyc(n, tuple(range(n)))
-            refl = tuple((n - i) % n for i in range(n))
-            G = group_from_generators(n, [rot, refl], label=label)
-        _contract(G.order == 2 * n and (n <= 2 or not G.is_abelian())
-                  and (G.elem_order == n).any(), "not dihedral", label)
-        return G
-
-    if name == "Q":
-        m, = args
-        h = m // 2
-        def mult(x, y):
-            i, j = x % h, x // h
-            kk, l = y % h, y // h
-            if j == 0:
-                return (i + kk) % h + h * l
-            if l == 0:
-                return (i - kk) % h + h
-            return (i - kk + h // 2) % h
-        gens = _regular_perms(m, mult, [1, h])
-        G = group_from_generators(m, gens, label=label)
-        _contract(G.order == m and _involutions(G) == 1
-                  and not G.is_abelian() and (G.elem_order == h).any(),
-                  "not generalized quaternion", label)
-        return G
-
-    if name == "SD":
-        m, = args
-        h = m // 2
-        r = h // 2 - 1
-        a = tuple((x + 1) % h for x in range(h))
-        b = tuple(r * x % h for x in range(h))
-        G = group_from_generators(h, [a, b], label=label)
-        _contract(G.order == m and not G.is_abelian()
-                  and (G.elem_order == h).any()
-                  and _involutions(G) == m // 4 + 1, "not semidihedral", label)
-        return G
-
-    if name == "M":
-        return _realize_modular(*args, label)
-
-    if name == "X":
-        p, sign = args
-        if p == 2:
-            base = Named("D", (4,)) if sign == "+" else Named("Q", (8,))
-            G = realize_group(base)
-            G = dataclasses.replace(G, label=label)
-        elif sign == "+":
-            def mult(x, y):
-                a, b, c = x % p, x // p % p, x // (p * p)
-                a2, b2, c2 = y % p, y // p % p, y // (p * p)
-                return ((a + a2) % p + p * ((b + b2) % p)
-                        + p * p * ((c + c2 + a * b2) % p))
-            gens = _regular_perms(p ** 3, mult, [1, p])
-            G = group_from_generators(p ** 3, gens, label=label)
-        else:
-            G = _realize_modular(p, 3, label)
-        exp_expected = 4 if p == 2 else p if sign == "+" else p * p
-        _contract(G.order == p ** 3 and not G.is_abelian()
-                  and center(G).order == p
-                  and G.exponent() == exp_expected,
-                  "not the claimed extraspecial group", label)
-        return G
-
-    if name == "S":
-        n, = args
-        if n == 1:
-            G = group_from_generators(1, [], label=label)
-        else:
-            G = group_from_generators(
-                n, [_cyc(n, (0, 1)), _cyc(n, tuple(range(n)))], label=label)
-        _contract(G.order == factorial(n), "wrong order for Sym", label)
-        return G
-
-    if name == "A":
-        n, = args
-        gens = [_cyc(n, (0, 1, i)) for i in range(2, n)]
-        G = group_from_generators(n, gens, label=label)
-        _contract(G.order == factorial(n) // 2, "wrong order for Alt", label)
-        return G
-
-    if name == "PSL":
-        q = args[1]
-        G = _realize_psl2(q)
-        expected = q * (q ** 2 - 1) // gcd(2, q - 1)
-        _contract(G.order == expected, "wrong order for PSL(2,q)", label)
-        return G
-
-    if name == "SL":
-        p = args[1]
-        G = _realize_sl2(p)
-        _contract(G.order == p * (p ** 2 - 1)
-                  and (p == 2 or _involutions(G) == 1),
-                  "wrong structure for SL(2,p)", label)
-        return G
-
-    raise TypeError(f"unknown group family: {expr!r}")
-
-
-def _realize_modular(p, n, label):
-    h = p ** (n - 1)
-    u = 1 + p ** (n - 2)
-    a = tuple((x + 1) % h for x in range(h))
-    b = tuple(u * x % h for x in range(h))
-    G = group_from_generators(h, [a, b], label=label)
-    _contract(G.order == p ** n and not G.is_abelian()
-              and G.exponent() == h, "not modular maximal-cyclic", label)
+    else:
+        G = group_from_generators(*_GENERATORS[name](*args), label=label)
+    _contract(G.order == _FAMILIES[name][1](*args), "wrong order", label)
+    shape = _STRUCTURE.get(name)
+    _contract(shape is None or shape(G, *args), "wrong structure", label)
     return G
 
 

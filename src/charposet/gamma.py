@@ -463,6 +463,7 @@ def _claim_thm_b(G, p, e):
 
 
 def _claim_thm_c(G, p, e):
+    _require(e == 1, "claim is stated for e = 1")
     _require(is_p_power(G.order, p) and G.order >= p * p,
              f"G must be a p-group of order >= {p * p}")
     I = common_intersection_of_order(G, p, 2)
@@ -514,6 +515,7 @@ def _claim_l4_1(G, p, e):
 
 
 def _claim_l4_2(G, p, e):
+    _require(e == 1, "claim is stated for e = 1")
     _require(is_p_power(G.order, p) and G.order >= p * p,
              f"G must be a p-group of order >= {p * p}")
     _require(_cyclic_or_cp_cp(G, p), "G must be cyclic or C_p x C_p")
@@ -551,6 +553,7 @@ def _claim_l4_3(G, p, e):
 
 
 def _claim_l4_4(G, p, e):
+    _require(e == 1, "claim is stated for e = 1")
     _require(is_p_power(G.order, p) and G.order == p ** 3,
              "G must have order p^3")
     N = frattini_of_p_group(whole_group_subgroup(G), p)
@@ -560,6 +563,7 @@ def _claim_l4_4(G, p, e):
 
 
 def _claim_l4_6(G, p, e):
+    _require(e == 1, "claim is stated for e = 1")
     parts = G.semidirect_parts
     _require(parts is not None, "G carries no semidirect decomposition")
     H = make_subgroup(G, parts[0])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charposet import catalog
 from charposet.catalog import (
     SEMIDIRECT_C4_C4,
     Named,
@@ -20,6 +21,7 @@ from charposet.catalog import (
     realize_group,
 )
 from charposet.errors import (
+    ConstructionContractViolated,
     GroupExprError,
     GroupSyntaxError,
     ParameterOutOfRange,
@@ -138,13 +140,31 @@ def test_parameter_domain_errors(text):
     assert exc.value.offset == offset
 
 
-@pytest.mark.parametrize("text", ["S(3000000)", "A(3000000)"])
+# a degree or exponent under this cap, and the offset at which the
+# bit-length bound rejects it before any n! (over a minute here) or p^k
+_HUGE_UNDER_CAP = {"S(3000000)": 2, "A(3000000)": 2,
+                   "E(2,3000000)": 4, "M(2,3000000)": 4}
+
+
+@pytest.mark.parametrize("text", list(_HUGE_UNDER_CAP))
 def test_large_cap_rejects_degrees_without_factorials(text, monkeypatch):
-    # n! of this degree takes over a minute; the degree is under this cap
     monkeypatch.setenv("CHARPOSET_ORDER_CAP", str(10 ** 7))
     with pytest.raises(ParameterOutOfRange) as exc:
         parse_group_expr(text)
-    assert exc.value.offset == 2
+    assert exc.value.offset == _HUGE_UNDER_CAP[text]
+
+
+def test_generators_of_the_wrong_group_break_the_contract(monkeypatch):
+    # cyclic generators of the right order for D(n): the order check passes
+    # and the structure check must not
+    monkeypatch.setitem(catalog._GENERATORS, "D",
+                        lambda n: (2 * n, [_cyc(2 * n, tuple(range(2 * n)))]))
+    with pytest.raises(ConstructionContractViolated, match="wrong structure"):
+        realize("D(4)")
+    # and generators of a group of the wrong order
+    monkeypatch.setitem(catalog._GENERATORS, "D", lambda n: (n, []))
+    with pytest.raises(ConstructionContractViolated, match="wrong order"):
+        realize("D(4)")
 
 
 # The accepted language of perm[...] and sd[...], pinned as the earlier,
@@ -440,18 +460,38 @@ def test_gf_tables_are_the_field(q):
     assert mul.tolist() == _gf_oracle_mul(p, k)
 
 
-@pytest.mark.parametrize("q, digest", [
-    (4, "22aa145d312ac1c5cfe509121083af0e1b1d2266"),
-    (9, "4ea59a8b8dbc5dbdda83e07cf6058c073dedf71a"),
-    (16, "21ec8141a731378b842f04e58bceacf8fd0a13e5"),
-])
-def test_psl2_over_extension_fields_is_numbered_as_pinned(monkeypatch, q,
-                                                           digest):
+# the sha1 of each realized multiplication table as little-endian int32
+_NUMBERINGS = {
     # pinned from the polynomial-arithmetic field these tables replaced
+    "PSL(2,4)": "22aa145d312ac1c5cfe509121083af0e1b1d2266",
+    "PSL(2,9)": "4ea59a8b8dbc5dbdda83e07cf6058c073dedf71a",
+    "PSL(2,16)": "21ec8141a731378b842f04e58bceacf8fd0a13e5",
+    # pinned from the per-family realizations these generator tables replaced
+    "C(9)": "bb1e815d4aee5ef07a3aafd9110dbb2cf62b80e1",
+    "D(1)": "d4643e33efa056a1b6c5bbd32aa046c5c9144c89",
+    "D(2)": "a4d7f0ec427c447234657e67697137e17b7d4e35",
+    "D(8)": "5592463d3ec978196223b3aa4c102c0e166809a8",
+    "Q(16)": "3782a1b80fbeea66f6ed583e900737687b8a4852",
+    "SD(16)": "5236b44ffba7c02e6965d87efa1b899005dd9d09",
+    "M(2,4)": "f021c967db6783ac490626c272f329acc37dc87f",
+    "M(3,4)": "4a1b30b946ee0b7207fc91045ff3883e66c54abd",
+    "X(2,+)": "2f3777bd9ef1ebf98132fd33a94345576aa8bcab",
+    "X(2,-)": "ed77c031f8f1334d58995354515ee02ffb09d77c",
+    "X(3,+)": "6f733427cc014ff6aaf510f480a56ffd9b84faa8",
+    "X(3,-)": "3c36925e7542fb39c10c84ddcea5e160c2aee19b",
+    "E(2,3)": "06900895f8ef0a14e456cd7b15370b2a0418ca01",
+    "S(4)": "d1e07ede03728383a24e6c70aeefe67784c09985",
+    "A(5)": "3e051f814779cfb73f98ef1838da1cf88309099b",
+    "SL(2,3)": "cbcffe12a6727fdc9616f0027d276c37ea60f0c4",
+    "PSL(2,7)": "a240ddf10017de6dae7cc320b2db7e884cca920c",
+}
+
+
+@pytest.mark.parametrize("text", list(_NUMBERINGS))
+def test_family_is_numbered_as_pinned(monkeypatch, text):
     monkeypatch.setenv("CHARPOSET_ORDER_CAP", "4080")
-    G = realize(f"PSL(2,{q})")
-    table = np.ascontiguousarray(G.mul, dtype="<i4")
-    assert hashlib.sha1(table).hexdigest() == digest
+    table = np.ascontiguousarray(realize(text).mul, dtype="<i4")
+    assert hashlib.sha1(table).hexdigest() == _NUMBERINGS[text]
 
 
 def test_sym_two_is_closed_from_the_general_generators():

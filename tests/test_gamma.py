@@ -262,6 +262,21 @@ def test_verify_lemma_instances():
     assert r.status == "pass" and r.observed == {"components": 1}
 
 
+@pytest.mark.parametrize("text, claim, components", [
+    ("Q(8)", "ThmC", 2), ("D(4)", "ThmC", 2), ("C(8)", "L4.2", 4),
+    ("D(4)", "L4.4", 2), (SEMIDIRECT_C4_C4, "L4.6", 1)])
+def test_claims_stated_at_e_one_are_inapplicable_elsewhere(text, claim,
+                                                           components):
+    # these claims count Gamma_{p,1}; at any other e that count says nothing
+    G = cached_group(text)
+    r = verify(G, 2, 1, claim)
+    assert r.status == "pass" and r.observed == {"components": components}
+    for e in (0, 2):
+        r = verify(G, 2, e, claim)
+        assert r.status == "inapplicable", (claim, e)
+        assert r.observed == {"reason": "claim is stated for e = 1"}
+
+
 def test_disconnection_direction_for_higher_e():
     # one-direction check at e = 2: nontrivial intersection of the
     # order-p^(e+1) subgroups forces at least p components

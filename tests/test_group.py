@@ -66,6 +66,7 @@ from util import (
     levelled_p_subgroups,
     looped_overgroups,
     looped_right_transversal,
+    reduced_euler_characteristic,
     scanned_inverses,
     scanned_p_lattice,
     table_from_mul,
@@ -336,6 +337,25 @@ def test_lattice_suffixes_match_pairwise_scan_oracle(text):
             phi = frattini_of_p_group(whole_group_subgroup(G), p)
             assert phi.members == (
                 intersection_of_level(levels, n - 1) if n > 1 else (0,))
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_lattice_satisfies_browns_congruence(text):
+    # Brown (1975): |G|_p divides the reduced Euler characteristic of
+    # S_p(G), read here from the lattice's elementary abelian nodes
+    G = cached_group(text)
+    for p in (2, 3, 5, 7):
+        if G.order % p == 0:
+            chi = reduced_euler_characteristic(p_lattice(G, p), p)
+            assert chi % p ** p_valuation(G.order, p) == 0, (p, chi)
+
+
+@pytest.mark.parametrize("text, p, chi", [
+    ("A(5)", 2, 4),         # five contractible components
+    ("A(5)", 3, 9), ("PSL(2,7)", 2, -8)])
+def test_reduced_euler_characteristic_is_pinned(text, p, chi):
+    lat = p_lattice(cached_group(text), p)
+    assert reduced_euler_characteristic(lat, p) == chi
 
 
 def test_one_lattice_build_per_group_and_prime(monkeypatch):

@@ -736,6 +736,20 @@ def intersection_of_level(levels, k):
     return tuple(sorted(set.intersection(*(set(m) for m in levels[k]))))
 
 
+def reduced_euler_characteristic(lat, p):
+    """The reduced Euler characteristic of S_{p,0}(G), from its elementary
+    abelian nodes. By P. Hall, mu(1, E) = (-1)^r p^(r(r-1)/2) for E
+    elementary abelian of rank r and 0 for any other p-group, so the sum
+    runs over the trivial group and those nodes: chi~ = -sum_E mu(1, E).
+    Brown's theorem says that |G|_p divides it."""
+    total = 1                         # the trivial group, rank 0
+    for H in lat.nodes:
+        if H.local.is_abelian() and H.local.exponent() == p:
+            r = p_valuation(H.order, p)
+            total += (-1) ** r * p ** (r * (r - 1) // 2)
+    return -total
+
+
 def validate_group_table(G, check_associativity=True):
     """Exhaustive structural validation (associativity for n <= 256)."""
     n = G.order
