@@ -353,7 +353,8 @@ def irr_table(G, q):
     """
     cls = conjugacy_classes(G)
     _require_int64_headroom(G.order, q)
-    rows = abelian_rows(G, q) if G.is_abelian() else dixon_rows(G, cls, q)
+    abelian = cls.count == G.order           # every class a single element
+    rows = abelian_rows(G, q) if abelian else dixon_rows(G, cls, q)
     return _validated_table(G, cls, q, rows)
 
 
@@ -386,23 +387,23 @@ class CharContext:
     """Shared-modulus character tables for one parent group and its subgroups.
 
     A table is cached on the subgroup's own multiplication table (S.local,
-    G for the whole group) under ("irr", q), so the subgroups that share a
-    local table (`make_subgroups`) share one CharTable: classes are
-    numbered by least local element and rows sorted, so Irr depends on the
-    local table only. A subgroup made on its own (Phi(G), a normalizer)
-    has its own local table, and so its own CharTable. Each table is built
-    from the group it belongs to: one that is not a p-group, or is abelian,
-    through `irr_table`, and a non-abelian p-group (a node of the parent's
-    S_{p,0} lattice, or G itself) by `clifford_rows` from its lower covers
-    in the lattice. A cover R^g is read through its class representative
-    R, as Irr(R) on R's members carried into the node by g, so a Clifford
-    build asks only for class representatives' tables.
+    G for the whole group) under ("irr", q). Subgroups of G with byte-equal
+    local tables, lattice nodes, normalizers, the centre or Phi(G) alike,
+    share one local table (`Subgroup.local`), and so one CharTable:
+    classes are numbered by least local element and rows sorted, so Irr
+    depends on the local table only. Each table is built from the group it
+    belongs to: one that is not a p-group, or is abelian, through
+    `irr_table`, and a non-abelian p-group (a node of the parent's S_{p,0}
+    lattice, or G itself) by `clifford_rows` from its lower covers in the
+    lattice. A cover R^g is read through its class representative R, as
+    Irr(R) on R's members carried into the node by g, so a Clifford build
+    asks only for class representatives' tables.
 
     The Gamma build (`gamma.build_gamma_poset`) also asks only for class
-    representatives' tables and reaches every other node by transport;
-    `restrict_values` and `induce` may ask for any subgroup's. The cache
-    follows a single-writer/multi-reader contract; tables themselves are
-    immutable.
+    representatives' tables and reaches every other node by transport, so
+    only their local tables are made; `restrict_values` and `induce` may
+    ask for any subgroup's. The cache follows a single-writer/multi-reader
+    contract; tables themselves are immutable.
     """
 
     def __init__(self, G, q=None):

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage or parse error,
-3 computation error. Default output is an aligned human-readable table;
---json/--csv switch to machine-readable forms.
+3 computation error (a MemoryError included). Default output is an aligned
+human-readable table; --json/--csv switch to machine-readable forms.
 """
 from __future__ import annotations
 
@@ -261,7 +261,7 @@ def run(argv, out=None):
     except GroupExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CharposetError as exc:
+    except (CharposetError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

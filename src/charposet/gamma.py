@@ -361,8 +361,10 @@ def _sylow_has_cc_or_elem_abelian(G, p, e):
     Structural search over the p-subgroup lattice: a group of order
     p^(2e+2) that is abelian with exponent p^(e+1) and p^2 elements of order
     dividing p is homocyclic of rank 2; elementary abelian means exponent p.
+    These are isomorphism invariants, so one node per G-class is read.
     """
-    for sub in enumerate_p_subgroups(G, p).nodes:
+    lat = enumerate_p_subgroups(G, p)
+    for sub in (lat.nodes[r] for r in set(lat.conjugates[:, 0].tolist())):
         if sub.order == p ** (2 * e + 2):
             loc = sub.local
             if loc.is_abelian() and loc.exponent() == p ** (e + 1) and \

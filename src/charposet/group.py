@@ -3,16 +3,16 @@
 Every table is built from the structure it comes from: a permutation group's
 from its permutations (`closure_of_permutations`), a direct product's from
 its factors' arrays (`direct_table_product`) and a subgroup's from its
-parent's (`make_subgroups`); none is scanned for inverses afterwards.
-Every product, conjugation and power goes through `GroupTable` (`prod`,
-`conj_set`, `power`, `powers`); outside it, only `direct_table_product`
-reads a table, its factors'. A subgroup is its member tuple and membership
-mask. The poset S_{p,e}(G) is one `PSubgroupLattice`, which keeps its
-covers, classes and components as the int arrays they are computed as.
-Element 0 is always the identity. All types are immutable after
-construction, except for each table's cache of derived data
-(`GroupTable.memo`) and each lattice's cached properties; every operation
-is a pure function of its inputs.
+parent's when first read (`Subgroup.local`); none is scanned for inverses
+afterwards. Every product, conjugation and power goes through `GroupTable`
+(`prod`, `conj_set`, `power`, `powers`); outside it, only
+`direct_table_product` reads a table, its factors'. A subgroup is its
+member tuple and membership mask. The poset S_{p,e}(G) is one
+`PSubgroupLattice`, which keeps its covers, classes and components as the
+int arrays they are computed as. Element 0 is always the identity. All
+types are immutable after construction, except for each table's cache of
+derived data (`GroupTable.memo`) and the cached properties of subgroups and
+lattices; every operation is a pure function of its inputs.
 """
 from __future__ import annotations
 
@@ -179,7 +179,8 @@ class GroupTable:
         return lcm(*set(self.elem_order.tolist()))
 
     def is_abelian(self):
-        return bool((self.mul == self.mul.T).all())
+        return self.memo("abelian",
+                         lambda: bool((self.mul == self.mul.T).all()))
 
     def word(self, x):
         if self.words is not None:
@@ -307,12 +308,36 @@ class Subgroup:
 
     parent: GroupTable
     members: tuple
-    local: GroupTable
     mask: np.ndarray
 
     @property
     def order(self):
         return len(self.members)
+
+    @cached_property
+    def local(self):
+        """Its own GroupTable, read from the parent's on first use: one
+        |H|^2 gather and one searchsorted give `mul`; the inverses and
+        element orders are the parent's at the members. Subgroups of one
+        parent with byte-equal `mul` share one GroupTable, and so its memo.
+        The whole group's table is the parent itself."""
+        G, m = self.parent, self.order
+        if m == G.order:
+            return G
+        marr = np.array(self.members)
+        mul = np.searchsorted(marr, G.prod(marr[:, None], marr))
+        key = ("local", mul.astype(np.int32).tobytes())
+
+        def build():
+            # mul is a read-only view of the key's bytes, so they are kept once
+            inv = np.searchsorted(marr, G.inv[marr]).astype(np.int32)
+            orders = G.elem_order[marr]
+            inv.setflags(write=False)
+            orders.setflags(write=False)
+            return GroupTable(m, np.frombuffer(key[1], np.int32).reshape(m, m),
+                              inv, orders, label=f"{G.label}|{{{m}}}")
+
+        return G.memo(key, build)
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.label})"
@@ -322,47 +347,22 @@ def make_subgroups(G, rows):
     """Closed member rows of G, all of one order, as Subgroups in one batch.
 
     rows is a (t, m) array, each row sorted and holding distinct members
-    of G. Every table is read from G's at once: one gather of all products,
-    then one searchsorted over the rows, row i offset by i*|G|, gives the
-    local indices, and a product missing from its row raises NotASubgroup.
-    One scatter makes all membership masks.
-    Closure under products is the one check a finite group needs. Rows with
-    byte-equal local `mul` share one GroupTable, and so one memo; `inv`,
-    `elem_order` and Irr follow from `mul`. The whole group's table is G.
+    of G. One scatter makes all membership masks, and one gather of all
+    products, read against the masks, checks closure: a product outside
+    its row raises NotASubgroup. Closure under products is the one check a
+    finite group needs. Each table is made when first read (`local`).
     """
     rows = np.asarray(rows, dtype=np.int64)
     t, m = rows.shape
+    at = np.arange(t)[:, None]
     masks = np.zeros((t, G.order), dtype=bool)
-    masks[np.arange(t)[:, None], rows] = True
+    masks[at, rows] = True
     masks.setflags(write=False)
-    if m == G.order:
-        locals_ = [G] * t
-    else:
-        starts = np.arange(t)[:, None]
-        flat = (rows + starts * G.order).ravel()
-
-        def local_index(x):
-            # position of each product in its own row, or NotASubgroup
-            key = x.reshape(t, -1) + starts * G.order
-            at = np.searchsorted(flat, key).clip(max=flat.size - 1)
-            if (flat[at] != key).any():
-                raise NotASubgroup(
-                    "member set is not closed under multiplication")
-            return (at - starts * m).astype(np.int32).reshape(x.shape)
-
-        mul = local_index(G.prod(rows[:, :, None], rows[:, None, :]))
-        inv = local_index(G.inv[rows])
-        orders = G.elem_order[rows]
-        for a in (mul, inv, orders):
-            a.setflags(write=False)
-        label = f"{G.label}|{{{m}}}"
-        first = {}                      # local mul bytes -> first such row
-        row_of = [first.setdefault(mul[i].tobytes(), i) for i in range(t)]
-        tables = {i: GroupTable(m, mul[i], inv[i], orders[i], label=label)
-                  for i in first.values()}
-        locals_ = [tables[i] for i in row_of]
-    return [Subgroup(parent=G, members=tuple(members), local=local, mask=mask)
-            for members, local, mask in zip(rows.tolist(), locals_, masks)]
+    if m < G.order and not masks[at[:, :, None], G.prod(
+            rows[:, :, None], rows[:, None, :])].all():
+        raise NotASubgroup("member set is not closed under multiplication")
+    return [Subgroup(parent=G, members=tuple(members), mask=mask)
+            for members, mask in zip(rows.tolist(), masks)]
 
 
 def make_subgroup(G, members):
@@ -453,15 +453,10 @@ def validate_semidirect(G, H, K):
         raise NotASemidirectDecomposition("H is not normal in G")
 
 
-def centralizer_members(G, members):
-    members = np.asarray(members, dtype=np.int32)
-    ok = (G.prod(slice(None), members) == G.prod(members).T).all(axis=1)
-    return tuple(int(x) for x in np.flatnonzero(ok))
-
-
 def center(G):
-    """Z(G)."""
-    return make_subgroup(G, centralizer_members(G, np.arange(G.order)))
+    """Z(G): the x with x*g = g*x for every g."""
+    rows = G.prod(slice(None))
+    return make_subgroup(G, np.flatnonzero((rows == rows.T).all(axis=1)))
 
 
 def omega1(P, p):
@@ -670,7 +665,8 @@ def _intersection(subgroups):
 def frattini_of_p_group(P, p):
     """Phi(P) for a p-group P, computed two independent ways and compared.
 
-    A nontrivial Phi(P) is the node of G's p-lattice, with its tables.
+    A nontrivial Phi(P) has the members of a node of G's p-lattice, and so
+    shares that node's local table and its character tables.
     """
     G = P.parent
     if not is_p_power(P.order, p) or P.order < p:
@@ -684,18 +680,15 @@ def frattini_of_p_group(P, p):
     # (a) intersection of the index-p subgroups of P: its lower covers in G's
     # p-subgroup lattice
     if P.order == p:
-        by_maximals, node_index = (0,), {}
+        by_maximals = (0,)
     else:
         lat = enumerate_p_subgroups(G, p)
-        node_index = lat.node_index
-        j = node_index.get(P.members)
+        j = lat.node_index.get(P.members)
         if j is None:
             raise LatticeConstructionFailed("P is not a node of G's lattice")
         by_maximals = _intersection([lat.nodes[i] for i in lat.lower[j]])
     if by_powers != by_maximals:
         raise LatticeConstructionFailed("Frattini computations disagree")
-    if by_powers in node_index:
-        return lat.nodes[node_index[by_powers]]
     return make_subgroup(G, by_powers)
 
 

@@ -32,6 +32,7 @@ from charposet.errors import (
 )
 from charposet.gamma import build_gamma_poset, s_poset
 from charposet.group import (
+    GroupTable,
     all_subgroups,
     is_prime,
     make_subgroup,
@@ -288,6 +289,21 @@ def _assert_fast_rows_equal_dixon(G, table):
     dixon = sorted(dixon_rows(G, conjugacy_classes(G), table.q))
     assert sorted(abelian_rows(G, table.q)) == dixon
     assert _rows(table) == dixon
+
+
+def test_irr_table_decides_abelian_once(monkeypatch):
+    # conjugacy_classes decides it; irr_table reads it from the class count
+    calls = []
+    is_abelian = GroupTable.is_abelian
+
+    def counting(self):
+        calls.append(self)
+        return is_abelian(self)
+
+    G = realize("E(2,4)")
+    monkeypatch.setattr(GroupTable, "is_abelian", counting)
+    table = irr_table(G, dixon_modulus(G))
+    assert table.count == 16 and calls == [G]
 
 
 def test_abelian_rows_equal_dixon_on_catalog_s_poset_nodes():

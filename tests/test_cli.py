@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import charposet.chartab
+import charposet.cli
 import charposet.gamma
 import charposet.group
 from charposet.cli import run
@@ -156,6 +157,18 @@ def test_table_construction_failure_exit_three(monkeypatch, capsys, expr,
     err = capsys.readouterr().err
     assert err.startswith("error: TableConstructionFailed:")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_memory_error_exit_three(monkeypatch, capsys):
+    # exit 1 is kept for a failed claim; running out of memory is exit 3
+    def exhausted(args, out):
+        raise MemoryError("unable to allocate 2.00 GiB")
+
+    monkeypatch.setitem(charposet.cli._COMMANDS, "psubgroups", exhausted)
+    code, text = _run(["psubgroups", "--p", "2", "C(4)"])
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err == "error: MemoryError: unable to allocate 2.00 GiB\n"
 
 
 def test_lattice_construction_failure_exit_three(monkeypatch, capsys):

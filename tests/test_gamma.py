@@ -25,6 +25,7 @@ from charposet.errors import (
 )
 from charposet.gamma import (
     _generating_set,
+    _sylow_has_cc_or_elem_abelian,
     build_gamma_poset,
     gamma_poset,
     has_strongly_embedded_subgroup,
@@ -42,6 +43,7 @@ from charposet.group import (
 )
 from util import (
     DIFFERENTIAL_GROUPS,
+    all_nodes_sylow_has_cc_or_elem_abelian,
     brute_force_has_strongly_embedded,
     cached_group,
     catalog_up_to,
@@ -497,3 +499,21 @@ def test_library_never_runs_its_oracles(monkeypatch):
         G = realize(text)
         for p in (2, 3):
             assert verify(G, p, 0, "ThmA").status == "pass", (text, p)
+
+
+@pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
+def test_structural_search_on_class_representatives_matches_all_nodes(text):
+    # being abelian, the exponent and the number of elements of order <= p
+    # are isomorphism invariants, so one node per class decides the search
+    G = cached_group(text)
+    for p in (2, 3):
+        for e in (0, 1):
+            assert _sylow_has_cc_or_elem_abelian(G, p, e) == \
+                all_nodes_sylow_has_cc_or_elem_abelian(G, p, e), (p, e)
+
+
+def test_structural_search_finds_both_answers():
+    assert _sylow_has_cc_or_elem_abelian(cached_group("E(2,4)"), 2, 0)
+    assert _sylow_has_cc_or_elem_abelian(cached_group("C(4) x C(4)"), 2, 1)
+    assert not _sylow_has_cc_or_elem_abelian(cached_group("Q(8)"), 2, 0)
+    assert not _sylow_has_cc_or_elem_abelian(cached_group("S(3)"), 3, 0)

@@ -488,12 +488,16 @@ def test_only_group_table_reads_the_multiplication_table():
 
 @pytest.mark.parametrize("text", ["D(4)", "Q(8)", "X(3,+)", "X(3,-)"])
 def test_frattini_is_the_lattice_node(text):
-    # L4.3 reads Phi(G)'s table; the lattice node carries the cached one
+    # L4.3 reads Phi(G)'s table; Phi shares the node's local table, and so
+    # its character table, because their local products are byte-equal
     G = realize(text)
     p = prime_power(G.order)[0]
     phi = frattini_of_p_group(whole_group_subgroup(G), p)
     lat = enumerate_p_subgroups(G, p)
-    assert phi is lat.nodes[lat.node_index[phi.members]]
+    node = lat.nodes[lat.node_index[phi.members]]
+    assert phi.local is node.local
+    ctx = chartab.CharContext(G)
+    assert ctx.table(phi) is ctx.table(node)
 
 
 def test_common_intersection_of_order():

@@ -59,6 +59,43 @@ def test_e24_order_2_nodes_share_one_local_table():
     assert len({id(H.local) for H in nodes}) == 1
 
 
+def _count_table_builds(monkeypatch):
+    """The labels of the GroupTables that charposet.group makes from now."""
+    built = []
+    table = group_module.GroupTable
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("label"))
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(group_module, "GroupTable", counting)
+    return built
+
+
+def test_a_lattice_build_makes_no_table_and_a_read_makes_one(monkeypatch):
+    G = realize("A(6)")
+    built = _count_table_builds(monkeypatch)
+    lat = p_lattice(G, 2)
+    assert lat.node_count == 165 and built == []
+    sylow = lat.nodes[lat.sylow_ids[0]]
+    assert sylow.local is sylow.local and len(built) == 1
+    # a conjugate has a byte-equal table here, and takes the same one
+    same = [H for H in lat.nodes if H.order == 8
+            and H.local.mul.tobytes() == sylow.local.mul.tobytes()]
+    assert len(same) > 1 and len({id(H.local) for H in same}) == 1
+    assert len(built) == len({H.local.mul.tobytes()
+                              for H in lat.nodes if H.order == 8})
+
+
+def test_thm_a_makes_at_most_one_table_per_class(monkeypatch):
+    monkeypatch.setenv("CHARPOSET_ORDER_CAP", "5040")
+    G = realize("S(7)")
+    built = _count_table_builds(monkeypatch)
+    assert verify(G, 2, 0, "ThmA").status == "pass"
+    classes = len(set(p_lattice(G, 2).conjugates[:, 0].tolist()))
+    assert 0 < len(built) <= classes
+
+
 @pytest.mark.parametrize("text", DIFFERENTIAL_GROUPS)
 def test_nodes_share_a_local_table_exactly_when_their_mul_is_equal(text):
     G = cached_group(text)

@@ -124,6 +124,23 @@ def brute_force_has_strongly_embedded(G, p, e):
                for M in all_subgroups(G))
 
 
+def all_nodes_sylow_has_cc_or_elem_abelian(G, p, e):
+    """The structural search of ThmA read on every lattice node, not one
+    per class: some node of order p^(2e+2) is abelian of exponent p^(e+1)
+    with p^2 elements of order dividing p, or some node of order p^(e+2)
+    is elementary abelian."""
+    for sub in p_lattice(G, p).nodes:
+        if sub.order == p ** (2 * e + 2):
+            loc = sub.local
+            if loc.is_abelian() and loc.exponent() == p ** (e + 1) and \
+                    int((loc.elem_order <= p).sum()) == p * p:
+                return True
+        if sub.order == p ** (e + 2):
+            if sub.local.is_abelian() and sub.local.exponent() == p:
+                return True
+    return False
+
+
 def every_element_strongly_embedded_check(G, p, e, M):
     """Condition 5 tested on every x outside M, one set intersection each."""
     if M.parent is not G or M.order == G.order:
