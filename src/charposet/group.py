@@ -4,9 +4,12 @@ Every table is built from the structure it comes from: a permutation group's
 from its permutations (`closure_of_permutations`), a direct product's from
 its factors' arrays (`direct_table_product`) and a subgroup's from its
 parent's when first read (`Subgroup.local`); none is scanned for inverses
-afterwards. Every product, conjugation and power goes through `GroupTable`
-(`prod`, `conj_set`, `power`, `powers`); outside it, only
-`direct_table_product` reads a table, its factors'. A subgroup is its
+afterwards. Every table holds its products and inverses as `TABLE_DTYPE`
+(uint16), so a table takes 2|G|^2 bytes and no group of order over
+`MAX_TABLE_ORDER` (65,536) is built; `order_cap` never exceeds it. Every
+product, conjugation and power goes through `GroupTable` (`prod`,
+`conj_set`, `power`, `powers`), and so has the table's dtype; outside it,
+only `direct_table_product` reads a table, its factors'. A subgroup is its
 member tuple and membership mask. The poset S_{p,e}(G) is one
 `PSubgroupLattice`, which keeps its covers, classes and components as the
 int arrays they are computed as. Element 0 is always the identity. All
@@ -39,11 +42,17 @@ from .poset import components
 
 DEFAULT_ORDER_CAP = 1024
 
+# the dtype of every table's mul and inv, half int32's bytes; it numbers at
+# most 2^16 elements, whose table would already take 8.6 GB
+TABLE_DTYPE = np.dtype(np.uint16)
+MAX_TABLE_ORDER = int(np.iinfo(TABLE_DTYPE).max) + 1
+
 _GEN_SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def order_cap():
-    """Construction cap on group order; CHARPOSET_ORDER_CAP overrides."""
+    """Construction cap on group order; CHARPOSET_ORDER_CAP overrides it,
+    up to MAX_TABLE_ORDER, the most elements TABLE_DTYPE can number."""
     raw = os.environ.get("CHARPOSET_ORDER_CAP")
     if raw is None:
         return DEFAULT_ORDER_CAP
@@ -54,7 +63,7 @@ def order_cap():
     if cap < 1:
         raise ValueError(
             f"CHARPOSET_ORDER_CAP must be a positive integer, got {raw!r}")
-    return cap
+    return min(cap, MAX_TABLE_ORDER)
 
 
 # Miller-Rabin with the first 13 prime bases is exact for n below this bound
@@ -122,7 +131,9 @@ def p_valuation(n, p):
 class GroupTable:
     """A finite group given by its full multiplication table.
 
-    mul[x][y] is the index of x*y; element 0 is the identity. Data derived
+    mul[x][y] is the index of x*y and inv[x] that of x^-1, both of dtype
+    TABLE_DTYPE, as is every product read through `prod`, `conj_set`,
+    `power` and `powers`; element 0 is the identity. Data derived
     from the group (posets, character tables) is cached on the table
     through `memo`, so it lives exactly as long as the table.
     """
@@ -220,10 +231,10 @@ def closure_of_permutations(degree, gens, label="G", cap=None):
     element y = x*g the row of y is the row of x gathered at left[g], since
     y*z = x*(g*z); rows are filled in BFS order, so x's row is ready before
     y's. Inverses are read from the inverted permutations and checked by
-    x*inv[x] = 1. Raises ClosureCapExceeded when |G| > cap.
+    x*inv[x] = 1. Raises ClosureCapExceeded when |G| exceeds cap or
+    MAX_TABLE_ORDER, before any table is allocated.
     """
-    if cap is None:
-        cap = order_cap()
+    cap = min(order_cap() if cap is None else cap, MAX_TABLE_ORDER)
     gens = [tuple(int(i) for i in g) for g in gens]
     for g in gens:
         if len(g) != degree or sorted(g) != list(range(degree)):
@@ -272,8 +283,8 @@ def closure_of_permutations(degree, gens, label="G", cap=None):
     # left[g][z] = g*z, whose images are (g*z)[i] = z[g[i]]
     left = np.array([lookup(perms[:, g]) for g in garr],
                     dtype=np.intp).reshape(ngens, n)
-    mul = np.empty((n, n), dtype=np.int32)
-    mul[0] = np.arange(n, dtype=np.int32)
+    mul = np.empty((n, n), dtype=TABLE_DTYPE)
+    mul[0] = np.arange(n, dtype=TABLE_DTYPE)
     y = 1
     for xs, gis in parents:
         for x, gi in zip(xs, gis):
@@ -282,7 +293,7 @@ def closure_of_permutations(degree, gens, label="G", cap=None):
             y += 1
     inverted = np.empty_like(perms)
     inverted[np.arange(n)[:, None], perms] = np.arange(degree, dtype=dtype)
-    inv = np.array(lookup(inverted), dtype=np.int32)
+    inv = np.array(lookup(inverted), dtype=TABLE_DTYPE)
     if (mul[np.arange(n), inv] != 0).any():
         raise ValueError("an inverted permutation is not the inverse")
     elem_order = _elem_orders(mul)
@@ -326,16 +337,16 @@ class Subgroup:
             return G
         marr = np.array(self.members)
         mul = np.searchsorted(marr, G.prod(marr[:, None], marr))
-        key = ("local", mul.astype(np.int32).tobytes())
+        key = ("local", mul.astype(TABLE_DTYPE).tobytes())
 
         def build():
-            # mul is a read-only view of the key's bytes, so they are kept once
-            inv = np.searchsorted(marr, G.inv[marr]).astype(np.int32)
+            inv = np.searchsorted(marr, G.inv[marr]).astype(TABLE_DTYPE)
             orders = G.elem_order[marr]
             inv.setflags(write=False)
             orders.setflags(write=False)
-            return GroupTable(m, np.frombuffer(key[1], np.int32).reshape(m, m),
-                              inv, orders, label=f"{G.label}|{{{m}}}")
+            # a read-only view of the key's bytes, so they are kept once
+            view = np.frombuffer(key[1], TABLE_DTYPE).reshape(m, m)
+            return GroupTable(m, view, inv, orders, label=f"{G.label}|{{{m}}}")
 
         return G.memo(key, build)
 
@@ -737,12 +748,20 @@ def direct_table_product(A, B, label=None):
 
     Element (a, b) is a*|B| + b, so the identity is 0. Its product is
     (ac, bd), its inverse (a^-1, b^-1) and its order lcm(|a|, |b|); the
-    direct factors of A and B, flattened, are the product's.
+    direct factors of A and B, flattened, are the product's. `mul` is one
+    TABLE_DTYPE sum of A's table times |B| and B's table, which cannot
+    wrap: a*|B| + b < |A||B| <= MAX_TABLE_ORDER.
     """
     na, nb = A.order, B.order
     n = na * nb
-    mul = (A.mul[:, None, :, None] * nb + B.mul[None, :, None, :]).reshape(n, n)
-    inv = (A.inv[:, None] * nb + B.inv[None, :]).ravel()
+    if n > MAX_TABLE_ORDER:
+        raise ClosureCapExceeded(
+            f"product order {n} exceeds {MAX_TABLE_ORDER}")
+    shift = (np.arange(na) * nb).astype(TABLE_DTYPE)        # a -> a*|B|
+    mul = np.empty((na, nb, na, nb), dtype=TABLE_DTYPE)
+    np.add(shift[A.mul][:, None, :, None], B.mul[None, :, None, :], out=mul)
+    mul = mul.reshape(n, n)
+    inv = (shift[A.inv][:, None] + B.inv).ravel()
     elem_order = np.lcm.outer(A.elem_order, B.elem_order).ravel()
     for a in (mul, inv, elem_order):
         a.setflags(write=False)

@@ -120,6 +120,16 @@ def test_product_past_the_cap_exit_two(capsys, expr):
         "error: product order exceeds cap 1024 (at offset 0)\n"
 
 
+def test_product_past_the_uint16_range_exit_two(monkeypatch, capsys):
+    # a cap above 65,536 is held to it: the 65,792-element product is
+    # refused before its table (8.7 GB as uint16) is allocated
+    monkeypatch.setenv("CHARPOSET_ORDER_CAP", "100000")
+    code, text = _run(["components", "--p", "2", "C(256) x C(257)"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == \
+        "error: product order exceeds cap 65536 (at offset 0)\n"
+
+
 def test_huge_perm_degree_is_not_allocated(capsys):
     # only the points the generators move are closed, relabelled 0..k-1; a
     # list of 10^12 images would not fit in memory

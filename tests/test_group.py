@@ -3,6 +3,7 @@ import ast
 import dataclasses
 import hashlib
 import os
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -101,6 +102,32 @@ def test_closure_cap():
         group_from_generators(30, [cyc], cap=10)
 
 
+def _traced_peak(call):
+    """The tracemalloc peak in bytes while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tables_past_the_uint16_range_are_refused_before_allocation():
+    # S(9) has 362,880 elements: an explicit larger cap does not lift the
+    # 65,536 that uint16 indices number, and the closure stops in its BFS
+    nine = tuple(range(1, 9)) + (0,)
+    swap = (1, 0) + tuple(range(2, 9))
+
+    def close():
+        with pytest.raises(ClosureCapExceeded, match="exceeds cap 65536"):
+            closure_of_permutations(9, [nine, swap], cap=10 ** 6)
+
+    assert _traced_peak(close) < 64 * 2 ** 20
+    # a direct product past the range, called with no order check before it
+    with pytest.raises(ClosureCapExceeded, match="65792 exceeds 65536"):
+        direct_table_product(cached_group("C(256)"), cached_group("C(257)"))
+
+
 def _realization_closures(monkeypatch, text):
     """(degree, gens) of every permutation closure realize(text) makes."""
     calls = []
@@ -165,6 +192,15 @@ def test_closure_lagrange_exit_on_psl_2_11():
         assert got == fixed_point_closure_members(G, seed)
         assert set(got) <= set(B.members)
     assert closure_members(G, [x, y]) == B.members
+
+
+def test_order_cap_stops_at_the_uint16_range(monkeypatch):
+    monkeypatch.setenv("CHARPOSET_ORDER_CAP", "1000000")
+    assert order_cap() == 65536
+    monkeypatch.setenv("CHARPOSET_ORDER_CAP", "65537")
+    assert order_cap() == 65536
+    monkeypatch.setenv("CHARPOSET_ORDER_CAP", "65535")
+    assert order_cap() == 65535
 
 
 def test_order_cap_env_override(monkeypatch):
@@ -623,6 +659,15 @@ def test_generator_fill_matches_composition_oracle(monkeypatch, text):
     for table, degree, gens, cap in closures:
         _assert_table_matches_oracles(table, degree, gens, cap)
     _assert_inverses_and_orders_match_oracles(G)
+    # every table path holds read-only uint16 products and inverses: the
+    # closures, a direct product's, and a lattice node's own
+    if text in ("E(2,4)", "Q(8) x C(2)"):
+        assert G.direct_factors is not None
+    nodes = [H for p in (2, 3) for H in p_lattice(G, p).nodes
+             if H.order < G.order]
+    for T in [G] + [t for t, *_ in closures] + [H.local for H in nodes]:
+        for a in (T.mul, T.inv):
+            assert a.dtype == np.uint16 and not a.flags.writeable
 
 
 def test_frontier_group_realizes_from_its_permutations(monkeypatch):
@@ -630,8 +675,13 @@ def test_frontier_group_realizes_from_its_permutations(monkeypatch):
     # the |G|^2 scans agree with, and no raw-table scan runs
     monkeypatch.setenv("CHARPOSET_ORDER_CAP", "6072")
     assert not hasattr(group_module, "table_from_mul")
-    G = realize("PSL(2,23)")
+    realized = []
+    peak = _traced_peak(lambda: realized.append(realize("PSL(2,23)")))
+    G, = realized
     assert G.order == 6072
+    # a uint16 table of 70.3 MiB, and no int32 or wider one on the way
+    assert G.mul.dtype == np.uint16 and G.mul.nbytes == 6072 ** 2 * 2
+    assert peak < 80 * 2 ** 20
     # pinned: any change to the numbering or to one product shows here
     table = np.ascontiguousarray(G.mul, dtype="<i4")
     assert hashlib.sha1(table).hexdigest() == \

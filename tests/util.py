@@ -28,6 +28,7 @@ from charposet.gamma import (
     strongly_embedded_check,
 )
 from charposet.group import (
+    TABLE_DTYPE,
     GroupTable,
     PSubgroupLattice,
     Subgroup,
@@ -529,7 +530,7 @@ def composition_closure(degree, gens, cap):
                 words.append(sym if pos == 0 else words[pos] + "*" + sym)
         pos += 1
     n = len(elems)
-    mul = np.zeros((n, n), dtype=np.int32)
+    mul = np.zeros((n, n), dtype=TABLE_DTYPE)
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
             mul[i, j] = index[compose(a, b)]
@@ -538,7 +539,7 @@ def composition_closure(degree, gens, cap):
 
 def scanned_inverses(mul):
     """inv[x] = the one y with x*y = identity, row by row."""
-    inv = np.zeros(mul.shape[0], dtype=np.int32)
+    inv = np.zeros(mul.shape[0], dtype=TABLE_DTYPE)
     for x in range(mul.shape[0]):
         hits = np.flatnonzero(mul[x] == 0)
         assert hits.size == 1
@@ -561,20 +562,24 @@ def iterated_elem_orders(mul):
 def table_from_mul(mul, label="G", words=None, direct_factors=None):
     """A GroupTable from a raw multiplication table (identity = 0) alone.
 
-    The identity and the rows are checked, and the inverses and element
-    orders are derived by scanning the |G|^2 table.
+    The range, the identity and the rows are checked, and the inverses and
+    element orders are derived by scanning the |G|^2 table, held as the
+    library's TABLE_DTYPE.
     """
-    mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
+    mul = np.asarray(mul)
     n = mul.shape[0]
     if mul.shape != (n, n):
         raise ValueError("multiplication table must be square")
-    rng = np.arange(n, dtype=np.int32)
+    if mul.size and (mul.min() < 0 or mul.max() >= n):
+        raise ValueError("a product is not an element")
+    mul = np.ascontiguousarray(mul, dtype=TABLE_DTYPE)
+    rng = np.arange(n)
     if not (mul[0] == rng).all() or not (mul[:, 0] == rng).all():
         raise ValueError("element 0 is not a two-sided identity")
     rows, inv = np.nonzero(mul == 0)
     if rows.size != n or (rows != rng).any():
         raise ValueError("table rows must be permutations")
-    inv = inv.astype(np.int32)
+    inv = inv.astype(TABLE_DTYPE)
     elem_order = _elem_orders(mul)
     for a in (mul, inv, elem_order):
         a.setflags(write=False)
@@ -598,8 +603,7 @@ def kron_direct_product(A, B):
     b_factors = B.direct_factors or ((tuple(range(nb)),) if nb > 1 else ())
     factors = tuple(tuple(int(i) * nb for i in f) for f in a_factors) + \
         tuple(tuple(int(j) for j in f) for f in b_factors)
-    return table_from_mul(mul.astype(np.int32),
-                          label=f"{A.label} x {B.label}", words=words,
+    return table_from_mul(mul, label=f"{A.label} x {B.label}", words=words,
                           direct_factors=factors or None)
 
 
